@@ -10,25 +10,26 @@
 # Usage: scripts/bench_hotpath.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
 #   JEM_BENCH_MIN_TIME min seconds per repetition (default 0.5)
+# Builds in its own directory (build-bench), apart from Tier-1's build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REPS="${JEM_BENCH_REPS:-5}"
 MIN_TIME="${JEM_BENCH_MIN_TIME:-0.5}"
 OUT="${1:-BENCH_hotpath.json}"
-RAW="build/bench_hotpath_raw.json"
+RAW="build-bench/bench_hotpath_raw.json"
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build --target bench_micro jem_map
+cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench --target bench_micro jem_map
 
 # Metrics snapshot of a demo run (docs/observability.md): embedded in the
 # summary so a regression report carries its own hot-path counters
 # (sketch hit rate, probe lengths, candidates per segment).
-METRICS="build/bench_hotpath_metrics.json"
-./build/examples/jem_map --demo --metrics "$METRICS" \
+METRICS="build-bench/bench_hotpath_metrics.json"
+./build-bench/examples/jem_map --demo --metrics "$METRICS" \
   --output /dev/null >/dev/null
 
-./build/bench/bench_micro \
+./build-bench/bench/bench_micro \
   --benchmark_filter='^BM_Hotpath' \
   --benchmark_repetitions="$REPS" \
   --benchmark_min_time="$MIN_TIME" \
@@ -75,7 +76,7 @@ speedups = {
 
 summary = {
     "generated_by": "scripts/bench_hotpath.sh",
-    "benchmark_binary": "build/bench/bench_micro",
+    "benchmark_binary": "build-bench/bench/bench_micro",
     "repetitions": reps,
     "aggregate": "median",
     "benchmarks": medians,

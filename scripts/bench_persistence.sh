@@ -12,29 +12,30 @@
 # Usage: scripts/bench_persistence.sh [output.json]
 #   JEM_BENCH_REPS     repetitions per benchmark (default 5)
 #   JEM_BENCH_MIN_TIME min seconds per repetition (default 0.5)
+# Builds in its own directory (build-bench), apart from Tier-1's build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REPS="${JEM_BENCH_REPS:-5}"
 MIN_TIME="${JEM_BENCH_MIN_TIME:-0.5}"
 OUT="${1:-BENCH_persistence.json}"
-RAW="build/bench_persistence_raw.json"
+RAW="build-bench/bench_persistence_raw.json"
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build --target bench_micro jem_map
+cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench --target bench_micro jem_map
 
 # Metrics snapshot of a save+load round trip (docs/observability.md):
 # embedded in the summary so the io.index_cache.* counters of the
 # measured configuration travel with the numbers.
-METRICS="build/bench_persistence_metrics.json"
-IDX="build/bench_persistence_demo.idx"
-./build/examples/jem_map --demo --save-index "$IDX" \
+METRICS="build-bench/bench_persistence_metrics.json"
+IDX="build-bench/bench_persistence_demo.idx"
+./build-bench/examples/jem_map --demo --save-index "$IDX" \
   --output /dev/null >/dev/null
-./build/examples/jem_map --demo --load-index "$IDX" --metrics "$METRICS" \
+./build-bench/examples/jem_map --demo --load-index "$IDX" --metrics "$METRICS" \
   --output /dev/null >/dev/null
 rm -f "$IDX"
 
-./build/bench/bench_micro \
+./build-bench/bench/bench_micro \
   --benchmark_filter='^BM_IndexLoad' \
   --benchmark_repetitions="$REPS" \
   --benchmark_min_time="$MIN_TIME" \
@@ -80,7 +81,7 @@ speedups = {
 
 summary = {
     "generated_by": "scripts/bench_persistence.sh",
-    "benchmark_binary": "build/bench/bench_micro",
+    "benchmark_binary": "build-bench/bench/bench_micro",
     "repetitions": reps,
     "aggregate": "median",
     "benchmarks": medians,

@@ -10,6 +10,7 @@
 #   JEM_BENCH_SERVE_WORKERS  server workers       (default 4)
 #   JEM_BENCH_SERVE_SWEEP    open-loop rates rps  (default 100,300,600)
 #   JEM_BENCH_SERVE_PER_POINT requests per point  (default 300)
+# Builds in its own directory (build-bench), apart from Tier-1's build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,16 +21,16 @@ SWEEP="${JEM_BENCH_SERVE_SWEEP:-100,300,600}"
 PER_POINT="${JEM_BENCH_SERVE_PER_POINT:-300}"
 OUT="${1:-BENCH_serve.json}"
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build --target bench_serve jem
+cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-bench --target bench_serve jem
 
 # Cold run (cache off): every request pays the map kernel.
-./build/bench/bench_serve --requests "$REQUESTS" --clients "$CLIENTS" \
+./build-bench/bench/bench_serve --requests "$REQUESTS" --clients "$CLIENTS" \
   --workers "$WORKERS" --cache 0 --out "$OUT"
 
 # Warm run (default cache): repeated segments come from the LRU. Printed for
 # comparison; the JSON keeps the cold numbers, which are the honest ones.
-./build/bench/bench_serve --requests "$REQUESTS" --clients "$CLIENTS" \
+./build-bench/bench/bench_serve --requests "$REQUESTS" --clients "$CLIENTS" \
   --workers "$WORKERS"
 
 # Offered-load curve (ROADMAP item 4c): a live demo server driven by
@@ -38,7 +39,7 @@ cmake --build build --target bench_serve jem
 # "load_curve".
 DIR=$(mktemp -d /tmp/jem_bench_loadgen.XXXXXX)
 trap 'rm -rf "$DIR"' EXIT
-./build/examples/jem serve --demo --port 0 --port-file "$DIR/port" \
+./build-bench/examples/jem serve --demo --port 0 --port-file "$DIR/port" \
   --workers "$WORKERS" &
 SERVE_PID=$!
 for _ in $(seq 1 200); do
@@ -47,14 +48,14 @@ for _ in $(seq 1 200); do
 done
 [[ -s "$DIR/port" ]] || { echo "error: jem serve never published its port" >&2
   kill "$SERVE_PID" 2>/dev/null || true; exit 1; }
-./build/examples/jem loadgen --demo --port "$(cat "$DIR/port")" \
+./build-bench/examples/jem loadgen --demo --port "$(cat "$DIR/port")" \
   --mode open --sweep "$SWEEP" --requests "$PER_POINT" \
   --clients "$CLIENTS" --out "$DIR/curve.json"
 
 # Snapshot the server's own windowed SLO view (docs/observability.md) while
 # the loadgen traffic is still inside the 10s/1m windows; it lands in the
 # summary JSON as "slo_window" next to the client-side percentiles.
-./build/examples/jem probe --demo --port "$(cat "$DIR/port")" \
+./build-bench/examples/jem probe --demo --port "$(cat "$DIR/port")" \
   --requests 1 --clients 1 --healthz-out "$DIR/healthz.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Full local check: configure, build (warnings-as-errors), run the test
 # suite, then every benchmark/table/figure driver. This is what CI runs.
+# Every configuration gets its own build directory (build-check, build-tsan,
+# build-asan), so the script also runs right after a Tier-1 build has
+# configured build/ with another generator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
-ctest --test-dir build --output-on-failure
+cmake -B build-check -G Ninja
+cmake --build build-check
+ctest --test-dir build-check --output-on-failure
 
 # Deprecation guard: the deprecated map_reads_* entry points must not be
 # used inside src/ (the -Werror build catches direct use; this catches
@@ -19,22 +22,25 @@ fi
 # Engine + chaos + serve concurrency tests under ThreadSanitizer: the
 # bounded queue, the streaming pipeline and the mpisim fault paths are the
 # lock-based concurrency in the library, the chaos suite drives them
-# through aborts/timeouts (docs/robustness.md), and the serve suite runs a
-# live MappingServer with concurrent clients (docs/serve.md).
+# through aborts/timeouts (docs/robustness.md), the serve suite runs a
+# live MappingServer with concurrent clients (docs/serve.md), and the
+# IndexBuild suite runs the threaded sketch/sort index build.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DJEM_BUILD_BENCH=OFF -DJEM_BUILD_EXAMPLES=OFF
-cmake --build build-tsan --target test_engine test_chaos test_obs test_serve
+cmake --build build-tsan --target test_engine test_chaos test_obs test_serve \
+  test_core
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
+  -R 'IndexBuild|Engine|BoundedQueue|Chaos|FaultPlan|Property|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
 
 # The same suites under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # fault-injection shutdown paths (worker aborts, queue closes, partial
 # drains) are where lifetime bugs would hide. The persistence suites ride
 # along (docs/persistence.md): every artifact corruption case — truncation,
 # bit rot, torn journal records, stale resume state — must be detected as a
-# structured error without tripping ASan/UBSan while parsing hostile bytes.
+# structured error without tripping ASan/UBSan while parsing hostile bytes,
+# and so must the in-place FASTA/FASTQ loader on malformed and garbage input.
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
@@ -42,16 +48,16 @@ cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan --target test_engine test_chaos test_io test_core \
   test_obs test_serve jem obs_check
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
+  -R 'LoadInto|ReadFile|ParserRobustness|StreamReader|IndexBuild|Engine|BoundedQueue|Chaos|FaultPlan|Property|Xxh64|Artifact|AtomicWriteFile|Checkpoint|MappingOutput|MappingWriter|IndexSerde|Gzip|Json|Counter|Gauge|Histogram|Registry|MetricsSnapshot|Tracer|StagedChaosTrace|Window|OpenMetrics|TraceContext|Http|Lru|MappingServ|ServeObservability|ServiceConfig|MapServiceRequest|Cli|Resilience|CircuitBreaker'
 
 # Hot-path bench smoke (the default build type is Release): a short run of
 # the BM_Hotpath* family catches wiring regressions in the flat-index /
 # scratch-kernel benches early. scripts/bench_hotpath.sh does the real
 # measurement and writes BENCH_hotpath.json.
-./build/bench/bench_micro --benchmark_filter='^BM_Hotpath' \
+./build-check/bench/bench_micro --benchmark_filter='^BM_Hotpath' \
   --benchmark_min_time=0.02
 
-for b in build/bench/*; do
+for b in build-check/bench/*; do
   if [[ -f "$b" && -x "$b" ]]; then
     echo "== $b =="
     "$b"
@@ -60,21 +66,21 @@ done
 
 for e in quickstart hybrid_scaffold hybrid_pipeline parameter_study; do
   echo "== examples/$e =="
-  "./build/examples/$e"
+  "./build-check/examples/$e"
 done
-./build/examples/jem_map --demo --output /tmp/jem_check.tsv
+./build-check/examples/jem_map --demo --output /tmp/jem_check.tsv
 
 # Metrics smoke (docs/observability.md): a demo run and a 4-rank
 # distributed run must produce a metrics snapshot and a Chrome trace that
 # obs_check accepts — parseable JSON, schema fields present, B/E span
 # pairs matched on every track.
-./build/examples/jem_map --demo --metrics /tmp/jem_check_m.json \
+./build-check/examples/jem_map --demo --metrics /tmp/jem_check_m.json \
   --trace /tmp/jem_check_t.json --progress --output /tmp/jem_check.tsv
-./build/examples/obs_check --metrics /tmp/jem_check_m.json \
+./build-check/examples/obs_check --metrics /tmp/jem_check_m.json \
   --trace /tmp/jem_check_t.json
-./build/examples/jem_map --demo --ranks 4 --metrics /tmp/jem_check_m4.json \
+./build-check/examples/jem_map --demo --ranks 4 --metrics /tmp/jem_check_m4.json \
   --trace /tmp/jem_check_t4.json --output /tmp/jem_check.tsv
-./build/examples/obs_check --metrics /tmp/jem_check_m4.json \
+./build-check/examples/obs_check --metrics /tmp/jem_check_m4.json \
   --trace /tmp/jem_check_t4.json
 grep -q 'distributed.rank3.map_ns' /tmp/jem_check_m4.json
 grep -q 'mpisim.allgatherv.rank0.sent_bytes' /tmp/jem_check_m4.json
@@ -121,7 +127,7 @@ serve_smoke() {
   rm -rf "$dir"
 }
 echo "== serve smoke (Release) =="
-serve_smoke build
+serve_smoke build-check
 echo "== serve smoke (ASan/UBSan) =="
 serve_smoke build-asan
 echo "serve smoke: ok"
@@ -170,7 +176,7 @@ serve_chaos_smoke() {
   rm -rf "$dir"
 }
 echo "== serve chaos smoke (Release) =="
-serve_chaos_smoke build
+serve_chaos_smoke build-check
 echo "== serve chaos smoke (ASan/UBSan) =="
 serve_chaos_smoke build-asan
 echo "serve chaos smoke: ok"
@@ -178,8 +184,8 @@ echo "serve chaos smoke: ok"
 # Subcommand-shim golden (docs/serve.md): the legacy jem_map entry point is
 # a shim over `jem map`; a demo run through each must produce byte-identical
 # mappings.
-./build/examples/jem_map --demo --output /tmp/jem_check_shim.tsv
-./build/examples/jem map --demo --output /tmp/jem_check_sub.tsv
+./build-check/examples/jem_map --demo --output /tmp/jem_check_shim.tsv
+./build-check/examples/jem map --demo --output /tmp/jem_check_sub.tsv
 cmp /tmp/jem_check_shim.tsv /tmp/jem_check_sub.tsv
 echo "shim golden: byte-identical"
 
@@ -190,18 +196,18 @@ echo "shim golden: byte-identical"
 # fallback instead — either way the diff must be empty.
 SMOKE=/tmp/jem_ckpt_smoke
 rm -rf "$SMOKE" && mkdir -p "$SMOKE"
-./build/examples/make_dataset --preset "E. coli" --prefix "$SMOKE/ds" \
+./build-check/examples/make_dataset --preset "E. coli" --prefix "$SMOKE/ds" \
   --cap-bp 300000
-./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
+./build-check/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
   --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/golden.tsv"
-./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
+./build-check/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
   --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/out.tsv" \
   --batch 20 --checkpoint "$SMOKE/run.ckpt" &
 JEM_PID=$!
 sleep 0.05
 kill -9 "$JEM_PID" 2>/dev/null || true
 wait "$JEM_PID" 2>/dev/null || true
-./build/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
+./build-check/examples/jem_map --subjects "$SMOKE/ds_contigs.fa" \
   --queries "$SMOKE/ds_reads.fq.gz" --output "$SMOKE/out.tsv" \
   --batch 20 --checkpoint "$SMOKE/run.ckpt" --resume
 diff "$SMOKE/golden.tsv" "$SMOKE/out.tsv"

@@ -66,26 +66,8 @@ std::vector<std::pair<io::SeqId, io::SeqId>> partition_by_bases(
   if (ranks < 1) {
     throw std::invalid_argument("partition_by_bases: ranks must be >= 1");
   }
-  const auto p = static_cast<std::size_t>(ranks);
-  std::vector<std::pair<io::SeqId, io::SeqId>> ranges(p);
-
-  const double total = static_cast<double>(set.total_bases());
-  io::SeqId cursor = 0;
-  std::uint64_t consumed = 0;
-  for (std::size_t r = 0; r < p; ++r) {
-    const io::SeqId begin = cursor;
-    // Advance until this rank's cumulative share reaches (r+1)/p of the
-    // total bases; the last rank absorbs any floating-point remainder.
-    const double target =
-        total * static_cast<double>(r + 1) / static_cast<double>(p);
-    while (cursor < set.size() && static_cast<double>(consumed) < target) {
-      consumed += set.length(cursor);
-      ++cursor;
-    }
-    ranges[r] = {begin, cursor};
-  }
-  ranges.back().second = static_cast<io::SeqId>(set.size());
-  return ranges;
+  return io::partition_by_bases(set, 0, static_cast<io::SeqId>(set.size()),
+                                static_cast<std::size_t>(ranks));
 }
 
 MappingWire to_wire(const SegmentMapping& mapping) noexcept {
@@ -218,13 +200,16 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
         // subject range; any defect falls back to sketching, so a corrupt
         // or stale cache can never change the output.
         comm.fault_point("S2:sketch");
+        // A sketched S2 writes straight into the allgather vector: no local
+        // table, and no sort (S3 sorts the union).
         obs::StageSpan sketch_span(obs, "S2:sketch");
-        SketchTable local(params.trials);
+        std::vector<SketchEntry> local_entries;
         bool shard_loaded = false;
         if (index_cache.enabled() && index_cache.load) {
           try {
-            local = load_index(index_cache.shard_path(rank, ranks), params,
-                               scheme, subjects);
+            local_entries = load_index(index_cache.shard_path(rank, ranks),
+                                       params, scheme, subjects)
+                                .to_entries();
             shard_loaded = true;
             shards_loaded.fetch_add(1, std::memory_order_relaxed);
           } catch (const io::ArtifactError& error) {
@@ -236,16 +221,19 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
           }
         }
         if (!shard_loaded) {
-          local =
-              sketch_subjects(subjects, s_begin, s_end, params, scheme, hashes);
+          local_entries =
+              sketch_entries(subjects, s_begin, s_end, params, scheme, hashes,
+                             static_cast<std::size_t>(threads_per_rank));
           if (index_cache.enabled() && index_cache.save) {
-            local.freeze();  // the artifact persists the frozen forms
-            save_index(index_cache.shard_path(rank, ranks), local, params,
-                       scheme, subjects);
+            // The artifact persists the frozen forms.
+            save_index(index_cache.shard_path(rank, ranks),
+                       SketchTable::from_entries(
+                           params.trials, local_entries,
+                           static_cast<std::size_t>(threads_per_rank)),
+                       params, scheme, subjects);
             shards_saved.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        const std::vector<SketchEntry> local_entries = local.to_entries();
         const double sketch_s =
             static_cast<double>(sketch_span.finish()) * 1e-9;
 
@@ -258,8 +246,9 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
         shared_sketch[r] = 1;  // this rank's entries reached the union
 
         obs::StageSpan build_span(obs, "S3:build");
-        SketchTable global =
-            SketchTable::from_entries(params.trials, global_entries);
+        SketchTable global = SketchTable::from_entries(
+            params.trials, global_entries,
+            static_cast<std::size_t>(threads_per_rank));
         const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
 
         // S4: map local queries — sequentially, or with a rank-private
@@ -427,13 +416,13 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     // owner rank (one all-to-all replaces the allgather union).
     comm.fault_point("P:route");
     obs::StageSpan sketch_span(obs, "P:sketch");
-    const SketchTable local =
-        sketch_subjects(subjects, s_begin, s_end, params, scheme, hashes);
+    const std::vector<SketchEntry> local = sketch_entries(
+        subjects, s_begin, s_end, params, scheme, hashes, /*threads=*/1);
     const double sketch_s = static_cast<double>(sketch_span.finish()) * 1e-9;
     obs::StageSpan route_span(obs, "P:route");
     std::vector<std::vector<SketchEntry>> outgoing(
         static_cast<std::size_t>(p));
-    for (const SketchEntry& entry : local.to_entries()) {
+    for (const SketchEntry& entry : local) {
       outgoing[static_cast<std::size_t>(kmer_owner(entry.kmer, p))]
           .push_back(entry);
     }
@@ -445,7 +434,7 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
     const double route_s = static_cast<double>(route_span.finish()) * 1e-9;
     obs::StageSpan build_span(obs, "P:build-shard");
     const SketchTable shard =
-        SketchTable::from_entries(params.trials, shard_entries);
+        SketchTable::from_entries(params.trials, shard_entries, /*threads=*/1);
     const double build_s = static_cast<double>(build_span.finish()) * 1e-9;
 
     // S4a: sketch local query segments and bucket the probes by owner.
@@ -631,9 +620,8 @@ DistributedResult run_staged(const io::SequenceSet& subjects,
       static_cast<std::size_t>(ranks));
   executor.compute_step("S2:sketch-subjects", [&](int rank) {
     const auto [begin, end] = subject_ranges[static_cast<std::size_t>(rank)];
-    per_rank_entries[static_cast<std::size_t>(rank)] =
-        sketch_subjects(subjects, begin, end, params, scheme, hashes)
-            .to_entries();
+    per_rank_entries[static_cast<std::size_t>(rank)] = sketch_entries(
+        subjects, begin, end, params, scheme, hashes, /*threads=*/1);
   });
 
   // S3: allgatherv of the union volume, then each rank rebuilds the global
@@ -652,7 +640,8 @@ DistributedResult run_staged(const io::SequenceSet& subjects,
   // the same measurement).
   SketchTable global(params.trials);
   const double build_s = util::time_void([&] {
-    global = SketchTable::from_entries(params.trials, global_entries);
+    global = SketchTable::from_entries(params.trials, global_entries,
+                                       /*threads=*/1);
   });
   const JemMapper mapper(subjects, params, scheme, std::move(global));
 

@@ -87,12 +87,6 @@ struct EngineMetrics {
   }
 };
 
-std::size_t default_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 std::size_t effective_batch_size(const MapRequest& request, std::size_t n,
                                  std::size_t threads) {
   if (request.batch_size > 0) return request.batch_size;
@@ -277,7 +271,7 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
 
   const std::size_t n = reads.size();
   std::size_t threads = external_pool ? external_pool->size()
-                                      : default_threads(request.threads);
+                                      : util::resolve_threads(request.threads);
 #ifdef _OPENMP
   if (request.backend == MapBackend::kOpenMP && request.threads == 0) {
     threads = static_cast<std::size_t>(omp_get_max_threads());
@@ -545,7 +539,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
   // Three-stage pipeline: this thread parses and pushes ReadBatches into a
   // bounded queue (backpressure), pool workers map them, and whichever
   // worker completes the next in-order batch flushes it to the sink.
-  const std::size_t workers = default_threads(request.threads);
+  const std::size_t workers = util::resolve_threads(request.threads);
   util::BoundedQueue<io::ReadBatch> queue(request.queue_depth);
 
   std::atomic<std::uint64_t> map_ns{0};

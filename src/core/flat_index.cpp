@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace jem::core {
 
@@ -23,49 +24,52 @@ std::uint64_t FlatSketchIndex::hash(KmerCode kmer) noexcept {
   return util::mix64(kmer);
 }
 
-FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials) {
+FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
+                                       std::size_t threads) {
+  // Every trial's slot region and postings slice is placed up front (in
+  // trial order), so the trials can then be filled independently.
   FlatSketchIndex index;
+  std::vector<std::size_t> postings_begin;
   index.base_.reserve(trials.size());
   index.mask_.reserve(trials.size());
-
+  postings_begin.reserve(trials.size());
   std::size_t total_slots = 0;
   std::size_t total_postings = 0;
   for (const TrialView& trial : trials) {
-    total_slots += region_capacity(trial.keys.size());
+    const std::size_t capacity = region_capacity(trial.keys.size());
+    index.base_.push_back(total_slots);
+    index.mask_.push_back(capacity - 1);
+    postings_begin.push_back(total_postings);
+    total_slots += capacity;
     total_postings += trial.subjects.size();
+    index.keys_ += trial.keys.size();
+  }
+  if (total_postings > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "FlatSketchIndex: postings exceed uint32 offset range");
   }
   index.slots_.resize(total_slots);
-  index.subjects_.reserve(total_postings);
+  index.subjects_.resize(total_postings);
 
-  std::size_t base = 0;
-  for (const TrialView& trial : trials) {
-    const std::size_t capacity = region_capacity(trial.keys.size());
-    const std::size_t mask = capacity - 1;
-    index.base_.push_back(base);
-    index.mask_.push_back(mask);
-
+  util::parallel_for_index(trials.size(), threads, [&](std::size_t t) {
+    const TrialView& trial = trials[t];
+    const std::size_t base = index.base_[t];
+    const std::size_t mask = index.mask_[t];
+    std::size_t next = postings_begin[t];
     for (std::size_t k = 0; k < trial.keys.size(); ++k) {
       const KmerCode kmer = trial.keys[k];
       const std::uint32_t begin = trial.offsets[k];
       const std::uint32_t end = trial.offsets[k + 1];
-      if (index.subjects_.size() + (end - begin) >
-          std::numeric_limits<std::uint32_t>::max()) {
-        throw std::length_error(
-            "FlatSketchIndex: postings exceed uint32 offset range");
-      }
-      const auto offset =
-          static_cast<std::uint32_t>(index.subjects_.size());
+      const auto offset = static_cast<std::uint32_t>(next);
       for (std::uint32_t j = begin; j < end; ++j) {
-        index.subjects_.push_back(trial.subjects[j]);
+        index.subjects_[next++] = trial.subjects[j];
       }
 
       std::size_t i = hash(kmer) & mask;
       while (index.slots_[base + i].count != 0) i = (i + 1) & mask;
       index.slots_[base + i] = Slot{kmer, offset, end - begin};
-      ++index.keys_;
     }
-    base += capacity;
-  }
+  });
   return index;
 }
 

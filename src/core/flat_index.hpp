@@ -55,12 +55,13 @@ class FlatSketchIndex {
   /// build().
   FlatSketchIndex() = default;
 
-  /// Builds the index from per-trial CSR views. Keys within a trial must be
-  /// distinct (they are: CSR keys are sorted-unique). Throws
-  /// std::length_error if any trial's postings exceed the uint32 offset
+  /// Builds the index from per-trial CSR views, filling the trials on
+  /// `threads` workers (the result does not depend on the count). Keys
+  /// within a trial must be distinct (they are: CSR keys are sorted-unique).
+  /// Throws std::length_error if the postings exceed the uint32 offset
   /// range.
   [[nodiscard]] static FlatSketchIndex build(
-      std::span<const TrialView> trials);
+      std::span<const TrialView> trials, std::size_t threads = 1);
 
   [[nodiscard]] int trials() const noexcept {
     return static_cast<int>(base_.size());

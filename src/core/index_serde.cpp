@@ -1,13 +1,13 @@
 #include "core/index_serde.hpp"
 
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/mapper.hpp"
+#include "io/file.hpp"
 #include "obs/metrics.hpp"
 
 namespace jem::core {
@@ -318,15 +318,13 @@ SketchTable deserialize_index(std::string bytes, const MapParams& params,
 
 SketchTable load_index(const std::string& path, const MapParams& params,
                        SketchScheme scheme, const io::SequenceSet& subjects) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> raw = io::read_file(path);
+  if (!raw) {
     throw ArtifactError(ArtifactReason::kOpenFailed,
                         "cannot open index artifact: " + path);
   }
-  std::ostringstream raw;
-  raw << in.rdbuf();
   SketchTable table =
-      deserialize_index(std::move(raw).str(), params, scheme, subjects);
+      deserialize_index(std::move(*raw), params, scheme, subjects);
   // Only counted once the artifact fully verified — a rejected or corrupt
   // file is not a cache hit.
   obs::default_registry().counter("io.index_cache.hits").add(1);

@@ -26,6 +26,16 @@ void HotpathCounters::publish(obs::Registry& registry) const {
   }
 }
 
+namespace {
+
+/// Validates before the build constructor sketches anything.
+const MapParams& validated(const MapParams& params) {
+  params.validate();
+  return params;
+}
+
+}  // namespace
+
 Sketch make_sketch(std::string_view seq, const MapParams& params,
                    SketchScheme scheme, const HashFamily& hashes) {
   switch (scheme) {
@@ -57,14 +67,51 @@ void make_sketch(std::string_view seq, const MapParams& params,
   }
 }
 
+std::vector<SketchEntry> sketch_entries(const io::SequenceSet& subjects,
+                                        io::SeqId begin, io::SeqId end,
+                                        const MapParams& params,
+                                        SketchScheme scheme,
+                                        const HashFamily& hashes,
+                                        std::size_t threads) {
+  const std::size_t count = end > begin ? end - begin : 0;
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min(util::resolve_threads(threads), count));
+  const auto ranges = io::partition_by_bases(subjects, begin, end, workers);
+  std::vector<std::vector<SketchEntry>> parts(ranges.size());
+  util::parallel_for_index(ranges.size(), workers, [&](std::size_t part) {
+    SketchScratch scratch;
+    FlatSketch sketch;
+    std::vector<SketchEntry>& out = parts[part];
+    for (io::SeqId id = ranges[part].first; id < ranges[part].second; ++id) {
+      make_sketch(subjects.bases(id), params, scheme, hashes, scratch,
+                  sketch);
+      for (int t = 0; t < sketch.trials(); ++t) {
+        for (const KmerCode kmer : sketch.trial(t)) {
+          out.push_back({kmer, static_cast<std::uint32_t>(t), id});
+        }
+      }
+    }
+  });
+  if (parts.size() == 1) return std::move(parts.front());
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<SketchEntry> entries;
+  entries.reserve(total);
+  for (auto& part : parts) {
+    entries.insert(entries.end(), part.begin(), part.end());
+    part = {};
+  }
+  return entries;
+}
+
 SketchTable sketch_subjects(const io::SequenceSet& subjects, io::SeqId begin,
                             io::SeqId end, const MapParams& params,
-                            SketchScheme scheme, const HashFamily& hashes) {
-  SketchTable table(params.trials);
-  for (io::SeqId id = begin; id < end; ++id) {
-    table.insert(make_sketch(subjects.bases(id), params, scheme, hashes), id);
-  }
-  return table;
+                            SketchScheme scheme, const HashFamily& hashes,
+                            std::size_t threads) {
+  return SketchTable::from_entries(
+      params.trials,
+      sketch_entries(subjects, begin, end, params, scheme, hashes, threads),
+      threads);
 }
 
 JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
@@ -74,11 +121,8 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
       scheme_(scheme),
       hashes_(params.trials, params.seed),
       table_(sketch_subjects(subjects, 0,
-                             static_cast<io::SeqId>(subjects.size()), params_,
-                             scheme, hashes_)) {
-  params_.validate();
-  table_.freeze();  // CSR form: faster, cache-friendly query lookups
-}
+                             static_cast<io::SeqId>(subjects.size()),
+                             validated(params_), scheme, hashes_)) {}
 
 JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
                      SketchScheme scheme, SketchTable table)

@@ -154,18 +154,33 @@ void make_sketch(std::string_view seq, const MapParams& params,
                  SketchScheme scheme, const HashFamily& hashes,
                  SketchScratch& scratch, FlatSketch& out);
 
-/// Sketches subjects [begin, end) of `subjects` into a fresh table (the
-/// local S2 step of the distributed algorithm; the sequential driver calls
-/// it with the full range).
+/// Sketches subjects [begin, end) of `subjects` into wire entries (the local
+/// S2 step of the distributed algorithm): every (trial, k-mer) of each
+/// subject's sketch, subject-major in id order. `threads` workers (0 =
+/// hardware concurrency, the MapRequest::threads rule) each sketch a
+/// contiguous, base-balanced subject range with a reused SketchScratch;
+/// their results are concatenated in subject order, so the output does not
+/// depend on the thread count.
+[[nodiscard]] std::vector<SketchEntry> sketch_entries(
+    const io::SequenceSet& subjects, io::SeqId begin, io::SeqId end,
+    const MapParams& params, SketchScheme scheme, const HashFamily& hashes,
+    std::size_t threads = 0);
+
+/// The frozen table of subjects [begin, end):
+/// SketchTable::from_entries(sketch_entries(...)) on `threads` workers (0 =
+/// hardware concurrency). Byte-identical to inserting every subject's
+/// sketch and freezing.
 [[nodiscard]] SketchTable sketch_subjects(const io::SequenceSet& subjects,
                                           io::SeqId begin, io::SeqId end,
                                           const MapParams& params,
                                           SketchScheme scheme,
-                                          const HashFamily& hashes);
+                                          const HashFamily& hashes,
+                                          std::size_t threads = 0);
 
 class JemMapper {
  public:
-  /// Builds the table over all subjects (sequential S2).
+  /// Builds the table over all subjects (sketch_subjects on hardware
+  /// concurrency threads).
   JemMapper(const io::SequenceSet& subjects, MapParams params,
             SketchScheme scheme = SketchScheme::kJem);
 

@@ -1,20 +1,51 @@
 #include "core/sketch_table.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "util/thread_pool.hpp"
 
 namespace jem::core {
 
 namespace {
 
-/// CSR offsets are std::uint32_t per trial: refuse to freeze a trial whose
-/// postings would overflow them instead of silently truncating.
-void check_postings_fit(std::size_t postings) {
-  if (postings > std::numeric_limits<std::uint32_t>::max()) {
+using Posting = std::pair<KmerCode, io::SeqId>;
+
+/// The one CSR construction: sorts one trial's postings by (kmer, subject),
+/// collapses duplicate postings and emits the key/offset/subject arrays.
+/// CSR offsets are std::uint32_t per trial: refuses a trial whose postings
+/// would overflow them instead of silently truncating. Returns the number
+/// of postings kept.
+std::size_t emit_trial(std::span<Posting> postings,
+                       SketchTable::FrozenTrial& frozen) {
+  std::sort(postings.begin(), postings.end());
+  const auto last = std::unique(postings.begin(), postings.end());
+  const auto kept = static_cast<std::size_t>(last - postings.begin());
+  if (kept > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
         "SketchTable: trial postings exceed the uint32 CSR offset range");
   }
+  std::size_t keys = 0;
+  for (auto it = postings.begin(); it != last; ++it) {
+    keys += it == postings.begin() || std::prev(it)->first != it->first;
+  }
+  frozen.keys.reserve(keys);
+  frozen.offsets.reserve(keys + 1);
+  frozen.subjects.reserve(kept);
+  for (auto it = postings.begin(); it != last; ++it) {
+    const auto& [kmer, subject] = *it;
+    if (frozen.keys.empty() || frozen.keys.back() != kmer) {
+      frozen.keys.push_back(kmer);
+      frozen.offsets.push_back(
+          static_cast<std::uint32_t>(frozen.subjects.size()));
+    }
+    frozen.subjects.push_back(subject);
+  }
+  frozen.offsets.push_back(static_cast<std::uint32_t>(frozen.subjects.size()));
+  return kept;
 }
 
 }  // namespace
@@ -42,9 +73,9 @@ void SketchTable::insert(int trial, KmerCode kmer, io::SeqId subject) {
     throw std::logic_error("SketchTable::insert: table is frozen");
   }
   auto& postings = bins_[static_cast<std::size_t>(trial)][kmer];
-  // Postings are kept sorted; every driver inserts subjects in
-  // non-decreasing id order, so the common case is an O(1) append, and
-  // arbitrary-order inserts still preserve set semantics via binary search.
+  // Postings are kept sorted; subjects inserted in non-decreasing id order
+  // (the usual case) append in O(1), and arbitrary-order inserts still
+  // preserve set semantics via binary search.
   if (postings.empty() || postings.back() < subject) {
     postings.push_back(subject);
   } else {
@@ -59,46 +90,34 @@ void SketchTable::insert(int trial, KmerCode kmer, io::SeqId subject) {
 void SketchTable::freeze() {
   if (frozen_) return;
   frozen_trials_.resize(bins_.size());
+  std::vector<Posting> postings;
   for (std::size_t t = 0; t < bins_.size(); ++t) {
     Bin& bin = bins_[t];
-    FrozenTrial& frozen = frozen_trials_[t];
-
-    std::vector<std::pair<KmerCode, io::SeqId>> flat;
-    flat.reserve(entries_);
-    for (auto& [kmer, postings] : bin) {
-      for (io::SeqId subject : postings) flat.emplace_back(kmer, subject);
-    }
-    check_postings_fit(flat.size());
-    std::sort(flat.begin(), flat.end());
-
-    frozen.keys.reserve(bin.size());
-    frozen.offsets.reserve(bin.size() + 1);
-    frozen.subjects.reserve(flat.size());
-    for (const auto& [kmer, subject] : flat) {
-      if (frozen.keys.empty() || frozen.keys.back() != kmer) {
-        frozen.keys.push_back(kmer);
-        frozen.offsets.push_back(
-            static_cast<std::uint32_t>(frozen.subjects.size()));
+    std::size_t count = 0;
+    for (const auto& entry : bin) count += entry.second.size();
+    postings.clear();
+    postings.reserve(count);
+    for (const auto& [kmer, subjects] : bin) {
+      for (const io::SeqId subject : subjects) {
+        postings.emplace_back(kmer, subject);
       }
-      frozen.subjects.push_back(subject);
     }
-    frozen.offsets.push_back(
-        static_cast<std::uint32_t>(frozen.subjects.size()));
-    bin.clear();
+    Bin().swap(bin);  // release the bin before its trial's CSR arrays grow
+    (void)emit_trial(postings, frozen_trials_[t]);
   }
   bins_.clear();
   bins_.shrink_to_fit();
-  build_flat_index();
+  build_flat_index(1);
   frozen_ = true;
 }
 
-void SketchTable::build_flat_index() {
+void SketchTable::build_flat_index(std::size_t threads) {
   std::vector<FlatSketchIndex::TrialView> views;
   views.reserve(frozen_trials_.size());
   for (const FrozenTrial& frozen : frozen_trials_) {
     views.push_back({frozen.keys, frozen.offsets, frozen.subjects});
   }
-  flat_ = FlatSketchIndex::build(views);
+  flat_ = FlatSketchIndex::build(views, threads);
 }
 
 const FlatSketchIndex& SketchTable::flat() const {
@@ -168,46 +187,46 @@ std::vector<SketchEntry> SketchTable::to_entries() const {
 }
 
 SketchTable SketchTable::from_entries(int trials,
-                                      std::span<const SketchEntry> entries) {
+                                      std::span<const SketchEntry> entries,
+                                      std::size_t threads) {
   SketchTable table(trials);
+  const auto trial_count = static_cast<std::size_t>(trials);
 
-  // Bucket entries per trial, then sort each trial's postings by
-  // (kmer, subject) and emit the CSR arrays directly — no hash maps, one
-  // sort per trial. Duplicate triples (a subject whose sketches were
-  // computed by two ranks can never occur with contiguous partitions, but
-  // the wire format does not forbid it) collapse during the linear pass.
-  std::vector<std::vector<std::pair<KmerCode, io::SeqId>>> per_trial(
-      static_cast<std::size_t>(trials));
+  // Counting pass: bucket the entries per trial into one exactly-sized
+  // postings array (no per-trial regrowth), then sort the trials in
+  // parallel and emit each one's CSR arrays. Duplicate triples (a subject
+  // whose sketches were computed by two ranks can never occur with
+  // contiguous partitions, but the wire format does not forbid it)
+  // collapse in the per-trial emit.
+  std::vector<std::size_t> starts(trial_count + 1, 0);
   for (const SketchEntry& entry : entries) {
-    if (entry.trial >= static_cast<std::uint32_t>(trials)) {
+    if (entry.trial >= trial_count) {
       throw std::invalid_argument("SketchTable::from_entries: bad trial id");
     }
-    per_trial[entry.trial].emplace_back(entry.kmer, entry.subject);
+    ++starts[entry.trial + 1];
   }
-
-  table.frozen_trials_.resize(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) {
-    auto& flat = per_trial[static_cast<std::size_t>(t)];
-    std::sort(flat.begin(), flat.end());
-    flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
-    check_postings_fit(flat.size());
-
-    FrozenTrial& frozen = table.frozen_trials_[static_cast<std::size_t>(t)];
-    frozen.subjects.reserve(flat.size());
-    for (const auto& [kmer, subject] : flat) {
-      if (frozen.keys.empty() || frozen.keys.back() != kmer) {
-        frozen.keys.push_back(kmer);
-        frozen.offsets.push_back(
-            static_cast<std::uint32_t>(frozen.subjects.size()));
-      }
-      frozen.subjects.push_back(subject);
+  for (std::size_t t = 0; t < trial_count; ++t) starts[t + 1] += starts[t];
+  std::vector<Posting> postings(entries.size());
+  {
+    std::vector<std::size_t> cursor(starts.begin(), starts.end() - 1);
+    for (const SketchEntry& entry : entries) {
+      postings[cursor[entry.trial]++] = {entry.kmer, entry.subject};
     }
-    frozen.offsets.push_back(
-        static_cast<std::uint32_t>(frozen.subjects.size()));
-    table.entries_ += flat.size();
   }
+
+  table.frozen_trials_.resize(trial_count);
+  std::vector<std::size_t> kept(trial_count, 0);
+  const std::size_t workers = util::resolve_threads(threads);
+  util::parallel_for_index(trial_count, workers, [&](std::size_t t) {
+    kept[t] = emit_trial(
+        std::span<Posting>(postings).subspan(starts[t],
+                                             starts[t + 1] - starts[t]),
+        table.frozen_trials_[t]);
+  });
+  postings = {};
+  for (const std::size_t n : kept) table.entries_ += n;
   table.bins_.clear();
-  table.build_flat_index();
+  table.build_flat_index(workers);
   table.frozen_ = true;
   return table;
 }

@@ -28,21 +28,24 @@ struct SketchEntry {
 static_assert(sizeof(SketchEntry) == 16);
 
 // The table has three representations:
-//  * a mutable hash-map form used while sketching local subjects (S2),
+//  * a mutable hash-map form filled by insert() (tests and small incremental
+//    builds; freeze() turns it into the frozen forms),
 //  * a frozen CSR form — per trial, a position-sorted key array with a
 //    postings array — matching the paper's description of S_global as
-//    "T lists" (Fig 2). from_entries builds the frozen form directly by
-//    sorting the allgathered wire entries, which is markedly cheaper than
-//    re-inserting hundreds of thousands of entries into hash maps at every
-//    rank, and lookups become cache-friendly binary searches; and
+//    "T lists" (Fig 2). The production build path (sketch_subjects, the
+//    distributed S3) is from_entries: the wire entries are bucketed per
+//    trial with a counting pass, each trial is sorted (trials in
+//    parallel) and emitted as CSR, with no hash maps at all; and
 //  * a FlatSketchIndex built alongside the CSR form on freeze — the
 //    open-addressing form the query hot path probes (O(1) per lookup, with
 //    batched prefetching). lookup() keeps answering from the CSR arrays so
 //    the two forms can be validated against each other; flat() exposes the
 //    hash index JemMapper queries.
-// Freezing throws std::length_error if any trial's postings exceed the
-// std::uint32_t offset range of the CSR layout (2^32 - 1 entries per trial)
-// rather than silently truncating.
+// freeze() and from_entries share one per-trial CSR emitter, so both give
+// byte-identical arrays for the same entries. Freezing throws
+// std::length_error if any trial's postings exceed the std::uint32_t offset
+// range of the CSR layout (2^32 - 1 entries per trial) rather than
+// silently truncating.
 class SketchTable {
  public:
   /// One trial's frozen list: postings sorted by (kmer, subject); keys/
@@ -92,10 +95,14 @@ class SketchTable {
   /// of the underlying map — order is irrelevant to reconstruction).
   [[nodiscard]] std::vector<SketchEntry> to_entries() const;
 
-  /// Rebuilds a (frozen) table from concatenated per-rank entry lists.
-  /// Duplicate triples across ranks are collapsed.
+  /// Rebuilds a (frozen) table from concatenated per-rank entry lists, in
+  /// any order. Duplicate triples across ranks are collapsed. The trials
+  /// are sorted on `threads` workers (0 = hardware concurrency); the result
+  /// is byte-identical for every thread count and equal to inserting the
+  /// same entries and freezing.
   [[nodiscard]] static SketchTable from_entries(
-      int trials, std::span<const SketchEntry> entries);
+      int trials, std::span<const SketchEntry> entries,
+      std::size_t threads = 1);
 
   /// Legacy index persistence: a versioned binary dump (magic + trials +
   /// entry list), retained for wire-format compatibility. New code should
@@ -122,7 +129,7 @@ class SketchTable {
   using Bin = std::unordered_map<KmerCode, std::vector<io::SeqId>>;
 
   /// Builds flat_ from the frozen CSR arrays (last step of freezing).
-  void build_flat_index();
+  void build_flat_index(std::size_t threads);
 
   int trials_ = 0;
   std::vector<Bin> bins_;

@@ -5,8 +5,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
+
+#include "io/file.hpp"
 
 namespace jem::io {
 
@@ -281,15 +282,12 @@ ArtifactReader::ArtifactReader(std::string bytes, std::uint64_t expected_magic,
 ArtifactReader ArtifactReader::open(const std::string& path,
                                     std::uint64_t expected_magic,
                                     std::uint32_t expected_version) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> raw = read_file(path);
+  if (!raw) {
     throw ArtifactError(ArtifactReason::kOpenFailed,
                         "cannot open artifact: " + path);
   }
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  return ArtifactReader(std::move(raw).str(), expected_magic,
-                        expected_version);
+  return ArtifactReader(std::move(*raw), expected_magic, expected_version);
 }
 
 bool ArtifactReader::has_section(std::string_view tag) const noexcept {

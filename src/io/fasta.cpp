@@ -1,151 +1,71 @@
 #include "io/fasta.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "io/gzip.hpp"
-#include "util/string_util.hpp"
+#include "io/sequence_parser.hpp"
 
 namespace jem::io {
 
 namespace {
 
-/// getline that also strips a trailing '\r' (CRLF input).
-bool get_logical_line(std::istream& in, std::string& line) {
-  if (!std::getline(in, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
+using detail::Format;
+
+std::vector<SequenceRecord> parse_records(std::string_view data,
+                                          Format format) {
+  detail::RecordReader reader(detail::BufferLines(data), format);
+  std::vector<SequenceRecord> records;
+  SequenceRecord record;
+  detail::RecordSink sink{record};
+  while (reader.next(sink)) records.push_back(std::move(record));
+  return records;
 }
 
-void split_header(std::string_view header, SequenceRecord& rec) {
-  const std::size_t ws = header.find_first_of(" \t");
-  if (ws == std::string_view::npos) {
-    rec.name = std::string(header);
-  } else {
-    rec.name = std::string(header.substr(0, ws));
-    rec.comment = std::string(util::trim(header.substr(ws + 1)));
+/// The whole (gunzipped) file; every failure is a ParseError.
+std::string read_input(const std::string& path) {
+  try {
+    return read_file_auto(path);
+  } catch (const std::exception& error) {
+    throw ParseError(error.what());
   }
 }
 
-void append_bases(std::string& dst, std::string_view line) {
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
-    dst.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-  }
+std::string slurp(std::istream& in) {
+  return {std::istreambuf_iterator<char>(in), {}};
 }
 
 }  // namespace
 
 std::vector<SequenceRecord> read_fasta(std::istream& in) {
-  std::vector<SequenceRecord> records;
-  std::string line;
-  SequenceRecord current;
-  bool in_record = false;
-
-  while (get_logical_line(in, line)) {
-    if (line.empty()) continue;
-    if (line.front() == '>') {
-      if (in_record) {
-        if (current.bases.empty()) {
-          throw ParseError("FASTA record '" + current.name +
-                           "' has no sequence");
-        }
-        records.push_back(std::move(current));
-        current = {};
-      }
-      split_header(std::string_view(line).substr(1), current);
-      if (current.name.empty()) {
-        throw ParseError("FASTA header with empty sequence name");
-      }
-      in_record = true;
-    } else {
-      if (!in_record) {
-        throw ParseError("FASTA input does not start with '>'");
-      }
-      append_bases(current.bases, line);
-    }
-  }
-  if (in_record) {
-    if (current.bases.empty()) {
-      throw ParseError("FASTA record '" + current.name + "' has no sequence");
-    }
-    records.push_back(std::move(current));
-  }
-  return records;
+  return parse_records(slurp(in), Format::kFasta);
 }
 
 std::vector<SequenceRecord> read_fastq(std::istream& in) {
-  std::vector<SequenceRecord> records;
-  std::string line;
-  while (true) {
-    // Skip blank separator lines between records.
-    bool got = false;
-    while ((got = get_logical_line(in, line)) && line.empty()) {
-    }
-    if (!got) break;
-
-    if (line.front() != '@') {
-      throw ParseError("FASTQ record does not start with '@': " + line);
-    }
-    SequenceRecord rec;
-    split_header(std::string_view(line).substr(1), rec);
-    if (rec.name.empty()) {
-      throw ParseError("FASTQ header with empty sequence name");
-    }
-
-    if (!get_logical_line(in, line)) {
-      throw ParseError("FASTQ record '" + rec.name + "' truncated (no bases)");
-    }
-    append_bases(rec.bases, line);
-
-    if (!get_logical_line(in, line) || line.empty() || line.front() != '+') {
-      throw ParseError("FASTQ record '" + rec.name + "' missing '+' line");
-    }
-    if (!get_logical_line(in, line)) {
-      throw ParseError("FASTQ record '" + rec.name +
-                       "' truncated (no quality)");
-    }
-    rec.quality = line;
-    if (rec.quality.size() != rec.bases.size()) {
-      throw ParseError("FASTQ record '" + rec.name +
-                       "': quality length != sequence length");
-    }
-    records.push_back(std::move(rec));
-  }
-  return records;
+  return parse_records(slurp(in), Format::kFastq);
 }
 
 std::vector<SequenceRecord> read_sequences(std::istream& in) {
-  // Peek past leading whitespace to find the format marker.
-  int c = in.peek();
-  while (c != std::char_traits<char>::eof() &&
-         std::isspace(static_cast<unsigned char>(c)) != 0) {
-    in.get();
-    c = in.peek();
-  }
-  if (c == std::char_traits<char>::eof()) return {};
-  if (c == '>') return read_fasta(in);
-  if (c == '@') return read_fastq(in);
-  throw ParseError("input is neither FASTA ('>') nor FASTQ ('@')");
+  return parse_records(slurp(in), Format::kAuto);
 }
 
 std::vector<SequenceRecord> read_sequences_file(const std::string& path) {
-  // Transparently accepts gzip-compressed files (.fa.gz / .fastq.gz).
-  std::string content;
-  try {
-    content = read_file_auto(path);
-  } catch (const std::exception& error) {
-    throw ParseError(error.what());
-  }
-  std::istringstream in(std::move(content));
-  return read_sequences(in);
+  return parse_records(read_input(path), Format::kAuto);
 }
 
 void load_into(const std::string& path, SequenceSet& out) {
-  const auto records = read_sequences_file(path);
-  for (const SequenceRecord& rec : records) out.add(rec.name, rec.bases);
+  const std::string data = read_input(path);
+  const std::size_t committed = out.size();
+  // Bases never outnumber the file's bytes: one reservation, no regrowth.
+  out.reserve(committed, out.total_bases() + data.size());
+  try {
+    detail::RecordReader reader(detail::BufferLines(data), Format::kAuto);
+    detail::SetSink sink{out, {}};
+    while (reader.next(sink)) (void)out.add_pending(sink.name());
+  } catch (...) {
+    out.truncate(committed);  // a malformed file adds nothing
+    throw;
+  }
 }
 
 namespace {

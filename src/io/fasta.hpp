@@ -3,9 +3,11 @@
 // The readers are strict about structure (a FASTA record must start with '>',
 // a FASTQ record with '@' and have a matching-length quality string) but
 // tolerant of formatting noise: multi-line sequences, CRLF endings, blank
-// trailing lines, and lowercase bases (normalized to uppercase). Non-ACGTN
-// IUPAC codes are preserved by the reader; the core module treats anything
-// outside ACGT as an ambiguous base.
+// trailing lines, whitespace inside base lines (dropped), and lowercase
+// bases (normalized to uppercase). Every reader here and
+// SequenceStreamReader share one record grammar (io/sequence_parser.hpp).
+// Non-ACGTN IUPAC codes are preserved by the reader; the core module treats
+// anything outside ACGT as an ambiguous base.
 #pragma once
 
 #include <istream>
@@ -37,6 +39,12 @@ class ParseError : public std::runtime_error {
 /// File-path conveniences (throw ParseError when the file cannot be opened).
 [[nodiscard]] std::vector<SequenceRecord> read_sequences_file(
     const std::string& path);
+
+/// Appends every record of the (possibly gzip-compressed) FASTA/FASTQ file
+/// to `out`. The file is read once and parsed in place — bases go straight
+/// into `out`'s arena, with no per-record copies — by the same parser as
+/// read_sequences, so the records and every ParseError are the same. On a
+/// ParseError `out` is left as it was.
 void load_into(const std::string& path, SequenceSet& out);
 
 /// Writes FASTA with the given line width (0 = single line per record).

@@ -2,10 +2,9 @@
 
 #include <zlib.h>
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "io/file.hpp"
 #include "obs/metrics.hpp"
 
 namespace jem::io {
@@ -140,11 +139,9 @@ std::string gzip_compress(std::string_view data, int level) {
 }
 
 std::string read_file_auto(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open file: " + path);
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  std::string data = std::move(raw).str();
+  std::optional<std::string> raw = read_file(path);
+  if (!raw) throw std::runtime_error("cannot open file: " + path);
+  std::string data = std::move(*raw);
   obs::Registry& registry = obs::default_registry();
   registry.counter("io.file.reads").add(1);
   registry.counter("io.file.bytes", obs::Unit::kBytes).add(data.size());

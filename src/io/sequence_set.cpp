@@ -6,13 +6,26 @@
 namespace jem::io {
 
 SeqId SequenceSet::add(std::string_view name, std::string_view bases) {
+  arena_.append(bases);
+  return add_pending(name);
+}
+
+SeqId SequenceSet::add_pending(std::string_view name) {
   if (names_.size() >= kInvalidSeqId) {
+    arena_.resize(static_cast<std::size_t>(total_bases()));
     throw std::length_error("SequenceSet: too many sequences");
   }
   names_.emplace_back(name);
-  arena_.append(bases);
   offsets_.push_back(arena_.size());
   return static_cast<SeqId>(names_.size() - 1);
+}
+
+void SequenceSet::truncate(std::size_t count) {
+  if (count < names_.size()) {
+    names_.resize(count);
+    offsets_.resize(count);
+  }
+  arena_.resize(static_cast<std::size_t>(total_bases()));
 }
 
 void SequenceSet::add_all(std::span<const SequenceRecord> records) {
@@ -73,6 +86,34 @@ void SequenceSet::reserve(std::size_t sequences, std::uint64_t bases) {
   names_.reserve(sequences);
   offsets_.reserve(sequences);
   arena_.reserve(bases);
+}
+
+std::vector<std::pair<SeqId, SeqId>> partition_by_bases(
+    const SequenceSet& set, SeqId begin, SeqId end, std::size_t parts) {
+  if (parts == 0) {
+    throw std::invalid_argument("partition_by_bases: parts must be >= 1");
+  }
+  std::vector<std::pair<SeqId, SeqId>> ranges(parts);
+  std::uint64_t range_bases = 0;
+  for (SeqId id = begin; id < end; ++id) range_bases += set.length(id);
+
+  const double total = static_cast<double>(range_bases);
+  SeqId cursor = begin;
+  std::uint64_t consumed = 0;
+  for (std::size_t r = 0; r < parts; ++r) {
+    const SeqId first = cursor;
+    // Advance until this part's cumulative share reaches (r+1)/parts of the
+    // total bases; the last part absorbs any floating-point remainder.
+    const double target =
+        total * static_cast<double>(r + 1) / static_cast<double>(parts);
+    while (cursor < end && static_cast<double>(consumed) < target) {
+      consumed += set.length(cursor);
+      ++cursor;
+    }
+    ranges[r] = {first, cursor};
+  }
+  ranges.back().second = end;
+  return ranges;
 }
 
 }  // namespace jem::io

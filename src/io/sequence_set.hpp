@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/sequence.hpp"
@@ -57,10 +58,29 @@ class SequenceSet {
   /// Reserve arena capacity up front when the total load size is known.
   void reserve(std::size_t sequences, std::uint64_t bases);
 
+  /// Copy-free loading (io::load_into): a parser appends the next
+  /// sequence's bases to the end of pending_bases() — the arena, whose
+  /// committed prefix it must not touch — and add_pending(name) then closes
+  /// them into a sequence, returning its id like add().
+  [[nodiscard]] std::string& pending_bases() noexcept { return arena_; }
+  [[nodiscard]] std::size_t pending_size() const noexcept {
+    return arena_.size() - static_cast<std::size_t>(total_bases());
+  }
+  SeqId add_pending(std::string_view name);
+
+  /// Drops sequences [count, size()) and any pending bases.
+  void truncate(std::size_t count);
+
  private:
   std::vector<std::string> names_;
   std::vector<std::uint64_t> offsets_;  // offsets_[i] = end of sequence i
   std::string arena_;
 };
+
+/// Splits ids [begin, end) into `parts` contiguous ranges of near-equal
+/// total bases (a range may be empty); the ranges cover [begin, end) in
+/// order. Throws std::invalid_argument when parts is 0.
+[[nodiscard]] std::vector<std::pair<SeqId, SeqId>> partition_by_bases(
+    const SequenceSet& set, SeqId begin, SeqId end, std::size_t parts);
 
 }  // namespace jem::io

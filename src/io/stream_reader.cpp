@@ -1,127 +1,15 @@
 #include "io/stream_reader.hpp"
 
-#include <cctype>
-
-#include "util/string_util.hpp"
-
 namespace jem::io {
 
-namespace {
-
-void split_header(std::string_view header, SequenceRecord& rec) {
-  const std::size_t ws = header.find_first_of(" \t");
-  if (ws == std::string_view::npos) {
-    rec.name = std::string(header);
-    rec.comment.clear();
-  } else {
-    rec.name = std::string(header.substr(0, ws));
-    rec.comment = std::string(util::trim(header.substr(ws + 1)));
-  }
-  if (rec.name.empty()) {
-    throw ParseError("sequence header with empty name");
-  }
-}
-
-void append_bases(std::string& dst, std::string_view line) {
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
-    dst.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-  }
-}
-
-}  // namespace
-
-SequenceStreamReader::SequenceStreamReader(std::istream& in) : in_(in) {
-  detect_format();
-}
-
-bool SequenceStreamReader::get_line(std::string& line) {
-  if (!std::getline(in_, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
-
-void SequenceStreamReader::detect_format() {
-  int c = in_.peek();
-  while (c != std::char_traits<char>::eof() &&
-         std::isspace(static_cast<unsigned char>(c)) != 0) {
-    in_.get();
-    c = in_.peek();
-  }
-  if (c == std::char_traits<char>::eof()) {
-    format_ = Format::kEmpty;
-  } else if (c == '>') {
-    format_ = Format::kFasta;
-  } else if (c == '@') {
-    format_ = Format::kFastq;
-  } else {
-    throw ParseError("input is neither FASTA ('>') nor FASTQ ('@')");
-  }
-}
+SequenceStreamReader::SequenceStreamReader(std::istream& in)
+    : reader_(detail::StreamLines(in), detail::Format::kAuto) {}
 
 bool SequenceStreamReader::next(SequenceRecord& record) {
-  record = {};
-  if (format_ == Format::kEmpty) return false;
-
-  std::string line;
-  if (format_ == Format::kFastq) {
-    // Skip blank separator lines.
-    bool got = false;
-    while ((got = get_line(line)) && line.empty()) {
-    }
-    if (!got) return false;
-    if (line.front() != '@') {
-      throw ParseError("FASTQ record does not start with '@': " + line);
-    }
-    split_header(std::string_view(line).substr(1), record);
-    if (!get_line(line)) {
-      throw ParseError("FASTQ record '" + record.name + "' truncated");
-    }
-    append_bases(record.bases, line);
-    if (!get_line(line) || line.empty() || line.front() != '+') {
-      throw ParseError("FASTQ record '" + record.name + "' missing '+'");
-    }
-    if (!get_line(line)) {
-      throw ParseError("FASTQ record '" + record.name + "' has no quality");
-    }
-    record.quality = line;
-    if (record.quality.size() != record.bases.size()) {
-      throw ParseError("FASTQ record '" + record.name +
-                       "': quality length != sequence length");
-    }
-    ++records_read_;
-    return true;
-  }
-
-  // FASTA: consume the pending header (or find the first one).
-  if (!has_pending_header_) {
-    bool got = false;
-    while ((got = get_line(pending_header_)) && pending_header_.empty()) {
-    }
-    if (!got) {
-      format_ = Format::kEmpty;
-      return false;
-    }
-    if (pending_header_.front() != '>') {
-      throw ParseError("FASTA input does not start with '>'");
-    }
-    has_pending_header_ = true;
-  }
-  split_header(std::string_view(pending_header_).substr(1), record);
-  has_pending_header_ = false;
-
-  while (get_line(line)) {
-    if (line.empty()) continue;
-    if (line.front() == '>') {
-      pending_header_ = line;
-      has_pending_header_ = true;
-      break;
-    }
-    append_bases(record.bases, line);
-  }
-  if (record.bases.empty()) {
-    throw ParseError("FASTA record '" + record.name + "' has no sequence");
+  detail::RecordSink sink{record};
+  if (!reader_.next(sink)) {
+    record = {};
+    return false;
   }
   ++records_read_;
   return true;

@@ -4,8 +4,9 @@
 // embarrassingly parallel over reads, so the CLI can stream: read a batch,
 // map it, emit, discard (jem_map --batch).
 //
-// Same tolerances as the whole-file readers (multi-line FASTA, CRLF,
-// lowercase normalization); same ParseError on malformed records.
+// The record grammar is the whole-file readers' own (io/sequence_parser.hpp):
+// same tolerances (multi-line FASTA, CRLF, lowercase normalization), same
+// ParseError messages on malformed records.
 #pragma once
 
 #include <istream>
@@ -13,6 +14,7 @@
 
 #include "io/fasta.hpp"
 #include "io/sequence.hpp"
+#include "io/sequence_parser.hpp"
 #include "io/sequence_set.hpp"
 
 namespace jem::io {
@@ -37,15 +39,7 @@ class SequenceStreamReader {
   }
 
  private:
-  enum class Format { kUnknown, kFasta, kFastq, kEmpty };
-
-  void detect_format();
-  [[nodiscard]] bool get_line(std::string& line);
-
-  std::istream& in_;
-  Format format_ = Format::kUnknown;
-  std::string pending_header_;  // FASTA: the next record's header line
-  bool has_pending_header_ = false;
+  detail::RecordReader<detail::StreamLines> reader_;
   std::uint64_t records_read_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace jem::util {
 
@@ -73,6 +75,35 @@ void parallel_for_blocks(
     }));
   }
   for (auto& future : futures) future.get();
+}
+
+std::size_t resolve_threads(std::size_t requested) noexcept {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+void parallel_for_index(std::size_t n, std::size_t threads,
+                        const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  const std::size_t count = std::min(std::max<std::size_t>(threads, 1), n);
+  for (std::size_t t = 1; t < count; ++t) helpers.emplace_back(work);
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace jem::util

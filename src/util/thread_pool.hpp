@@ -52,6 +52,16 @@ void parallel_for_blocks(
     std::size_t num_blocks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
+/// The shared worker-count rule: `requested`, or the hardware concurrency
+/// when it is 0 (at least 1).
+[[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
+
+/// Calls fn(i) for every i in [0, n) on up to `threads` threads (the
+/// calling thread is one of them), handing out indices dynamically. Waits
+/// for every call to finish, then rethrows the first exception, if any.
+void parallel_for_index(std::size_t n, std::size_t threads,
+                        const std::function<void(std::size_t)>& fn);
+
 /// The half-open sub-range assigned to block `b` of `p` when dividing
 /// [0, n) as evenly as possible (first n%p blocks get one extra element).
 struct BlockRange {

@@ -142,9 +142,15 @@ TEST_F(IndexSerdeTest, SaveThenLoadFromDiskRoundTrips) {
 }
 
 TEST_F(IndexSerdeTest, UnfrozenTableRefusesToSerialize) {
+  // sketch_subjects returns a frozen table, so insert() builds this one.
   const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable unfrozen = sketch_subjects(subjects_, 0, subjects_.size(),
-                                         params_, SketchScheme::kJem, hashes);
+  SketchTable unfrozen(params_.trials);
+  for (io::SeqId id = 0; id < subjects_.size(); ++id) {
+    unfrozen.insert(
+        make_sketch(subjects_.bases(id), params_, SketchScheme::kJem, hashes),
+        id);
+  }
+  ASSERT_FALSE(unfrozen.frozen());
   EXPECT_THROW((void)serialize_index(unfrozen, params_, SketchScheme::kJem,
                                      subjects_),
                std::logic_error);

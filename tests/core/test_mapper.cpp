@@ -395,10 +395,14 @@ TEST_F(MapperTest, TopXReusesScratchAcrossCalls) {
 TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
   // The table-adopting constructor must freeze a mutable table so the
   // flat index exists; results agree with the self-sketching constructor.
+  // (sketch_subjects returns a frozen table, so insert() builds this one.)
   const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable table = sketch_subjects(
-      subjects_, 0, static_cast<io::SeqId>(subjects_.size()), params_,
-      SketchScheme::kJem, hashes);
+  SketchTable table(params_.trials);
+  for (io::SeqId id = 0; id < subjects_.size(); ++id) {
+    table.insert(
+        make_sketch(subjects_.bases(id), params_, SketchScheme::kJem, hashes),
+        id);
+  }
   EXPECT_FALSE(table.frozen());
   const JemMapper adopted(subjects_, params_, SketchScheme::kJem,
                           std::move(table));

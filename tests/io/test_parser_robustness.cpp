@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "io/fasta.hpp"
 #include "io/gzip.hpp"
@@ -34,19 +35,44 @@ std::string random_printable(util::Xoshiro256ss& rng, std::size_t length) {
 }
 
 TEST(ParserRobustness, SequencesParserNeverCrashesOnGarbage) {
+  // Both whole-input entry points — read_sequences over a stream and
+  // load_into over a file — parse or reject the same garbage identically.
+  const std::string path = ::testing::TempDir() + "/jem_garbage.fa";
   util::Xoshiro256ss rng(1);
   for (int trial = 0; trial < 200; ++trial) {
     const std::string data = trial % 2 == 0
                                  ? random_bytes(rng, rng.bounded(500))
                                  : random_printable(rng, rng.bounded(500));
     std::istringstream in(data);
+    std::vector<SequenceRecord> records;
+    std::string error;
     try {
-      const auto records = read_sequences(in);
+      records = read_sequences(in);
       for (const SequenceRecord& rec : records) {
         EXPECT_FALSE(rec.name.empty());
       }
-    } catch (const ParseError&) {
-      // Expected for malformed input.
+    } catch (const ParseError& e) {
+      error = e.what();  // expected for malformed input
+    }
+
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    }
+    SequenceSet set;
+    try {
+      load_into(path, set);
+      EXPECT_TRUE(error.empty()) << "load_into accepted what read_sequences "
+                                    "rejected: "
+                                 << error;
+      ASSERT_EQ(set.size(), records.size());
+      for (SeqId id = 0; id < set.size(); ++id) {
+        EXPECT_EQ(set.name(id), records[id].name);
+        EXPECT_EQ(set.bases(id), records[id].bases);
+      }
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), error);
+      EXPECT_TRUE(set.empty());
     }
   }
 }

@@ -107,5 +107,58 @@ TEST(SequenceSet, HandlesManySmallSequences) {
   EXPECT_EQ(set.bases(9999), "ACGT");
 }
 
+TEST(SequenceSet, PendingBasesCloseIntoASequence) {
+  SequenceSet set;
+  set.add("a", "ACGT");
+  set.pending_bases().append("GGT");
+  EXPECT_EQ(set.pending_size(), 3u);
+  EXPECT_EQ(set.total_bases(), 4u);
+  EXPECT_EQ(set.add_pending("b"), 1u);
+  EXPECT_EQ(set.pending_size(), 0u);
+  EXPECT_EQ(set.bases(1), "GGT");
+  EXPECT_EQ(set.name(1), "b");
+  EXPECT_EQ(set.total_bases(), 7u);
+}
+
+TEST(SequenceSet, TruncateDropsLaterSequencesAndPendingBases) {
+  SequenceSet set;
+  set.add("a", "ACGT");
+  set.add("b", "GG");
+  set.pending_bases().append("TTT");
+  set.truncate(1);
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.total_bases(), 4u);
+  EXPECT_EQ(set.pending_size(), 0u);
+  EXPECT_EQ(set.add("c", "CC"), 1u);
+  EXPECT_EQ(set.bases(1), "CC");
+}
+
+TEST(PartitionByBases, BalancesASubRangeByBases) {
+  SequenceSet set;
+  for (const std::size_t length : {50, 10, 10, 10, 10, 40, 5, 5}) {
+    set.add("s", std::string(length, 'A'));
+  }
+  // Ids [1, 7): 10+10+10+10+40+5 = 85 bases in two parts.
+  const auto ranges = partition_by_bases(set, 1, 7, 2);
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0].first, 1u);
+  EXPECT_EQ(ranges[0].second, ranges[1].first);
+  EXPECT_EQ(ranges[1].second, 7u);
+  EXPECT_EQ(ranges[0].second, 6u);  // 80 >= 42.5 only once the 40 is in
+  EXPECT_THROW((void)partition_by_bases(set, 0, 8, 0), std::invalid_argument);
+}
+
+TEST(PartitionByBases, MorePartsThanSequencesLeavesEmptyRanges) {
+  SequenceSet set;
+  set.add("a", "ACGT");
+  set.add("b", "ACGT");
+  const auto ranges = partition_by_bases(set, 0, 2, 5);
+  ASSERT_EQ(ranges.size(), 5u);
+  std::size_t covered = 0;
+  for (const auto& [begin, end] : ranges) covered += end - begin;
+  EXPECT_EQ(covered, 2u);
+  EXPECT_EQ(ranges.back().second, 2u);
+}
+
 }  // namespace
 }  // namespace jem::io

@@ -110,5 +110,31 @@ TEST(ParallelForBlocks, EmptyRangeIsANoop) {
   EXPECT_EQ(calls.load(), 0);
 }
 
+TEST(ResolveThreads, ZeroMeansHardwareConcurrency) {
+  EXPECT_EQ(resolve_threads(3), 3u);
+  EXPECT_GE(resolve_threads(0), 1u);
+}
+
+TEST(ParallelForIndex, VisitsEveryIndexOnceForAnyThreadCount) {
+  for (const std::size_t threads : {0, 1, 2, 5, 64}) {
+    std::vector<std::atomic<int>> visits(37);
+    parallel_for_index(visits.size(), threads,
+                       [&](std::size_t i) { visits[i].fetch_add(1); });
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1) << threads;
+  }
+  parallel_for_index(0, 4, [](std::size_t) { FAIL(); });
+}
+
+TEST(ParallelForIndex, RethrowsAfterEveryCallFinished) {
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for_index(16, 4,
+                                  [&](std::size_t i) {
+                                    if (i == 3) throw std::runtime_error("x");
+                                    finished.fetch_add(1);
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 15);
+}
+
 }  // namespace
 }  // namespace jem::util
