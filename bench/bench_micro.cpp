@@ -19,7 +19,6 @@
 #include "io/packed_sequence_set.hpp"
 #include "mpisim/communicator.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -126,41 +125,6 @@ void BM_ClassicMinhash(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMinhash);
 
-void BM_SketchTableInsert(benchmark::State& state) {
-  util::Xoshiro256ss rng(10);
-  std::vector<core::KmerCode> kmers(10'000);
-  for (auto& kmer : kmers) kmer = rng();
-  for (auto _ : state) {
-    core::SketchTable table(30);
-    for (std::size_t i = 0; i < kmers.size(); ++i) {
-      table.insert(static_cast<int>(i % 30), kmers[i],
-                   static_cast<io::SeqId>(i % 97));
-    }
-    benchmark::DoNotOptimize(table.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_SketchTableInsert);
-
-void BM_SketchTableLookup(benchmark::State& state) {
-  util::Xoshiro256ss rng(11);
-  std::vector<core::KmerCode> kmers(10'000);
-  core::SketchTable table(30);
-  for (std::size_t i = 0; i < kmers.size(); ++i) {
-    kmers[i] = rng();
-    table.insert(static_cast<int>(i % 30), kmers[i],
-                 static_cast<io::SeqId>(i % 97));
-  }
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kmers.size(); ++i) {
-      benchmark::DoNotOptimize(table.lookup(static_cast<int>(i % 30),
-                                            kmers[i]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_SketchTableLookup);
-
 void BM_MapSegment(benchmark::State& state) {
   const std::string genome = random_dna(12, 200'000);
   io::SequenceSet subjects;
@@ -180,9 +144,7 @@ void BM_MapSegment(benchmark::State& state) {
 }
 BENCHMARK(BM_MapSegment);
 
-// Whole-set mapping: the deprecated ThreadPool entry point vs the engine's
-// batched pool backend on the same input. The engine's dynamic batch
-// scheduling should match or beat the old static block partitioning.
+// Whole-set mapping through the engine's batched pool backend.
 struct EngineBenchData {
   io::SequenceSet subjects;
   io::SequenceSet reads;
@@ -208,28 +170,6 @@ const EngineBenchData& engine_bench_data() {
   return data;
 }
 
-void BM_MapReadsParallel(benchmark::State& state) {
-  const EngineBenchData& data = engine_bench_data();
-  core::MapParams params;
-  params.seed = 23;
-  const core::JemMapper mapper(data.subjects, params);
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::int64_t mapped = 0;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  for (auto _ : state) {
-    const auto mappings = mapper.map_reads_parallel(data.reads, pool);
-    mapped = static_cast<std::int64_t>(mappings.size());
-    benchmark::DoNotOptimize(mapped);
-  }
-#pragma GCC diagnostic pop
-  state.SetItemsProcessed(state.iterations() * mapped);
-}
-BENCHMARK(BM_MapReadsParallel)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_EngineMapReads(benchmark::State& state) {
   const EngineBenchData& data = engine_bench_data();
   const core::MapParams params = core::MapParams::make().seed(23).build();
@@ -251,10 +191,11 @@ BENCHMARK(BM_EngineMapReads)
     ->UseRealTime();
 
 // ---- Query hot-path benches -------------------------------------------
-// The BM_Hotpath* family quantifies the flat-index + scratch-reuse query
-// path against the pre-overhaul CSR + allocating path at the paper's
-// parameters (k=16, w=100, T=30, l=1000). scripts/bench_hotpath.sh runs
-// exactly this family and records the speedups in BENCH_hotpath.json.
+// The BM_Hotpath* family quantifies the scratch-reuse, batched-probe query
+// path against the pre-overhaul allocating path (deque sketch kernel,
+// unbatched single-key probes) at the paper's parameters (k=16, w=100,
+// T=30, l=1000). scripts/bench_hotpath.sh runs exactly this family and
+// records the speedups in BENCH_hotpath.json.
 
 struct HotpathData {
   io::SequenceSet subjects;
@@ -294,21 +235,22 @@ const core::JemMapper& hotpath_mapper() {
   return mapper;
 }
 
-/// A realistic frozen table plus a query key mix (~2/3 hits) shared by the
-/// lookup benches.
+/// A realistic table plus a query key mix (~2/3 hits) shared by the lookup
+/// benches.
 struct HotpathIndexData {
-  core::SketchTable table{30};
+  core::SketchTable table = core::SketchTable::from_entries(30, {});
   std::vector<core::KmerCode> queries;
 
   HotpathIndexData() {
     util::Xoshiro256ss rng(43);
     std::vector<core::KmerCode> keys(200'000);
+    std::vector<core::SketchEntry> entries(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       keys[i] = rng();
-      table.insert(static_cast<int>(i % 30), keys[i],
-                   static_cast<io::SeqId>(rng.bounded(500)));
+      entries[i] = {keys[i], static_cast<std::uint32_t>(i % 30),
+                    static_cast<io::SeqId>(rng.bounded(500))};
     }
-    table.freeze();
+    table = core::SketchTable::from_entries(30, entries);
     for (int i = 0; i < 10'000; ++i) {
       queries.push_back(rng.bounded(3) == 0 ? rng()
                                             : keys[rng.bounded(keys.size())]);
@@ -320,19 +262,6 @@ const HotpathIndexData& hotpath_index_data() {
   static const HotpathIndexData data;
   return data;
 }
-
-void BM_HotpathCsrLookup(benchmark::State& state) {
-  const HotpathIndexData& data = hotpath_index_data();
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < data.queries.size(); ++i) {
-      benchmark::DoNotOptimize(
-          data.table.lookup(static_cast<int>(i % 30), data.queries[i]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.queries.size()));
-}
-BENCHMARK(BM_HotpathCsrLookup);
 
 void BM_HotpathFlatIndexLookup(benchmark::State& state) {
   const HotpathIndexData& data = hotpath_index_data();

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Quantifies the allocation-free query hot path (flat hash sketch index +
-# reusable sketch scratch) against the pre-overhaul CSR + allocating path.
+# Quantifies the allocation-free query hot path (reusable sketch scratch +
+# batched, prefetching flat-index probes) against the pre-overhaul
+# allocating path (deque sketch kernel + single-key probes).
 #
 # Runs the BM_Hotpath* family of bench_micro in the Release build with
 # repetitions, keeps the median of each series, and writes a summary JSON
-# (default: BENCH_hotpath.json at the repo root) with the derived speedups.
+# (default: BENCH_hotpath.json at the repo root) with the derived speedups
+# and a host block (CPU count and model, compiler, git SHA).
 # Exits non-zero if the end-to-end map_segment speedup drops below 1.5x.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
@@ -38,6 +40,9 @@ METRICS="build-bench/bench_hotpath_metrics.json"
 
 python3 - "$RAW" "$OUT" "$REPS" "$METRICS" <<'PY'
 import json
+import os
+import re
+import subprocess
 import sys
 
 raw_path, out_path, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -59,17 +64,53 @@ for bench in raw["benchmarks"]:
 def speedup(baseline, fast):
     return medians[baseline]["cpu_time_ns"] / medians[fast]["cpu_time_ns"]
 
+def run(*cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+def compiler():
+    cxx = "c++"
+    try:
+        with open("build-bench/CMakeCache.txt") as f:
+            m = re.search(r"^CMAKE_CXX_COMPILER:\w+=(.+)$", f.read(), re.M)
+            if m:
+                cxx = m.group(1)
+    except OSError:
+        pass
+    return run(cxx, "--version").splitlines()[0]
+
+sha = run("git", "rev-parse", "HEAD")
+if run("git", "status", "--porcelain", "--untracked-files=no") not in ("", "unknown"):
+    sha += "-dirty"
+host = {
+    "cpus": os.cpu_count(),
+    "cpu_model": cpu_model(),
+    "compiler": compiler(),
+    "git_sha": sha,
+}
+
 speedups = {
-    # Single-key probe: frozen-CSR binary search vs flat hash index.
-    "lookup_flat_vs_csr":
-        speedup("BM_HotpathCsrLookup", "BM_HotpathFlatIndexLookup"),
     # Segment sketching: pre-overhaul deque kernel vs reusable scratch.
     "sketch_scratch_vs_reference":
         speedup("BM_HotpathSketchReference", "BM_HotpathSketchScratch"),
     # Segment sketching: current allocating API vs reusable scratch.
     "sketch_scratch_vs_alloc":
         speedup("BM_HotpathSketchAlloc", "BM_HotpathSketchScratch"),
-    # End-to-end query mapping: pre-overhaul CSR+alloc path vs hot path.
+    # End-to-end query mapping: pre-overhaul alloc + single-key probe path
+    # vs hot path.
     "map_segment_hot_vs_reference":
         speedup("BM_HotpathMapSegmentReference", "BM_HotpathMapSegment"),
 }
@@ -77,6 +118,7 @@ speedups = {
 summary = {
     "generated_by": "scripts/bench_hotpath.sh",
     "benchmark_binary": "build-bench/bench/bench_micro",
+    "host": host,
     "repetitions": reps,
     "aggregate": "median",
     "benchmarks": medians,

@@ -11,9 +11,9 @@ cmake -B build-check -G Ninja
 cmake --build build-check
 ctest --test-dir build-check --output-on-failure
 
-# Deprecation guard: the deprecated map_reads_* entry points must not be
-# used inside src/ (the -Werror build catches direct use; this catches
-# anyone silencing the warning instead of migrating to MappingEngine).
+# Deprecation guard: src/ must not silence deprecation warnings (the
+# -Werror build catches direct use of a deprecated API; this catches anyone
+# suppressing the warning instead of migrating off it).
 if grep -rn "deprecated-declarations" src/; then
   echo "error: deprecation-warning suppression found in src/" >&2
   exit 1

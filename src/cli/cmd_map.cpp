@@ -254,8 +254,9 @@ int run_map(std::span<const char* const> args, std::string_view program) {
             : core::run_distributed(subjects, reads, params,
                                     static_cast<int>(ranks), scheme,
                                     /*threads_per_rank=*/1, {}, {}, obs);
-    const core::JemMapper name_resolver(subjects, params, scheme,
-                                        core::SketchTable(params.trials));
+    const core::JemMapper name_resolver(
+        subjects, params, scheme,
+        core::SketchTable::from_entries(params.trials, {}));
     lines = name_resolver.to_mapping_lines(reads, result.mappings);
     util::log_info() << "distributed (" << ranks << " ranks): total "
                      << result.report.total_s() << " s, allgather "
@@ -276,7 +277,7 @@ int run_map(std::span<const char* const> args, std::string_view program) {
                                         subjects));
         loaded_index = true;
         util::log_info() << "loaded sketch index from " << load_index_path
-                         << " (freeze skipped)";
+                         << " (sketch and index build skipped)";
       } catch (const io::ArtifactError& error) {
         // A bad artifact is never fatal: report why and rebuild from FASTA.
         util::log_info() << "index " << load_index_path << " rejected ("

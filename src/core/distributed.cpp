@@ -225,7 +225,7 @@ DistributedResult run_distributed(const io::SequenceSet& subjects,
               sketch_entries(subjects, s_begin, s_end, params, scheme, hashes,
                              static_cast<std::size_t>(threads_per_rank));
           if (index_cache.enabled() && index_cache.save) {
-            // The artifact persists the frozen forms.
+            // The artifact persists the shard's flat index.
             save_index(index_cache.shard_path(rank, ranks),
                        SketchTable::from_entries(
                            params.trials, local_entries,
@@ -474,7 +474,7 @@ DistributedResult run_distributed_partitioned(const io::SequenceSet& subjects,
       for (const QueryProbe& probe :
            incoming_probes[static_cast<std::size_t>(src)]) {
         for (io::SeqId subject :
-             shard.lookup(static_cast<int>(probe.trial), probe.kmer)) {
+             shard.flat().lookup(static_cast<int>(probe.trial), probe.kmer)) {
           replies[static_cast<std::size_t>(src)].push_back(
               {probe.segment, probe.trial, subject});
         }
@@ -638,11 +638,10 @@ DistributedResult run_staged(const io::SequenceSet& subjects,
   // Each rank performs an identical rebuild of the global table; measure it
   // once and charge that uniform cost (running it p times would only repeat
   // the same measurement).
-  SketchTable global(params.trials);
-  const double build_s = util::time_void([&] {
-    global = SketchTable::from_entries(params.trials, global_entries,
-                                       /*threads=*/1);
-  });
+  const util::WallTimer build_timer;
+  SketchTable global = SketchTable::from_entries(params.trials, global_entries,
+                                                 /*threads=*/1);
+  const double build_s = build_timer.elapsed_s();
   const JemMapper mapper(subjects, params, scheme, std::move(global));
 
   // S4: map local queries per rank.

@@ -252,13 +252,10 @@ class ScratchPool {
   std::vector<std::unique_ptr<MapScratch>> free_;
 };
 
-}  // namespace
-
-namespace detail {
-
+/// The shared in-memory executor behind MappingEngine::run and the
+/// streaming pipeline's per-batch runs.
 MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
-                      const MapRequest& request,
-                      util::ThreadPool* external_pool) {
+                      const MapRequest& request) {
   request.validate();
   check_min_votes(request, mapper.params());
 
@@ -270,8 +267,7 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
   MapReport report;
 
   const std::size_t n = reads.size();
-  std::size_t threads = external_pool ? external_pool->size()
-                                      : util::resolve_threads(request.threads);
+  std::size_t threads = util::resolve_threads(request.threads);
 #ifdef _OPENMP
   if (request.backend == MapBackend::kOpenMP && request.threads == 0) {
     threads = static_cast<std::size_t>(omp_get_max_threads());
@@ -306,17 +302,12 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
       break;
     }
     case MapBackend::kPool: {
-      std::optional<util::ThreadPool> owned;
-      util::ThreadPool* pool = external_pool;
-      if (pool == nullptr) {
-        owned.emplace(threads);
-        pool = &*owned;
-      }
+      util::ThreadPool pool(threads);
       ScratchPool scratches(mapper.subjects().size());
       std::vector<std::future<void>> futures;
       futures.reserve(num_batches);
       for (std::size_t b = 0; b < num_batches; ++b) {
-        futures.push_back(pool->submit([&, b] {
+        futures.push_back(pool.submit([&, b] {
           std::unique_ptr<MapScratch> scratch = scratches.acquire();
           run_batch(b, *scratch);
           scratches.release(std::move(scratch));
@@ -368,7 +359,7 @@ MapReport run_request(const JemMapper& mapper, const io::SequenceSet& reads,
   return report;
 }
 
-}  // namespace detail
+}  // namespace
 
 MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
                              SketchScheme scheme)
@@ -380,7 +371,7 @@ MappingEngine::MappingEngine(const io::SequenceSet& subjects, MapParams params,
 
 MapReport MappingEngine::run(const io::SequenceSet& reads,
                              const MapRequest& request) const {
-  return detail::run_request(mapper_, reads, request);
+  return run_request(mapper_, reads, request);
 }
 
 EngineStats MappingEngine::run_stream(io::BatchStream& stream,
@@ -481,7 +472,7 @@ EngineStats MappingEngine::run_stream_impl(io::BatchStream& stream,
           // own publish (the tracer nests fine, so it stays attached).
           sub.obs.metrics = nullptr;
           MapReport sub_report =
-              detail::run_request(mapper_, result.batch.reads, sub);
+              run_request(mapper_, result.batch.reads, sub);
           result.mappings = std::move(sub_report.mappings);
           result.topx = std::move(sub_report.topx);
         } else {

@@ -1,9 +1,8 @@
 // MappingEngine — the unified batched/streaming execution layer over
 // JemMapper (Algorithm 2). One MapRequest selects what to map (end
 // segments, whole-read tiling, or top-x candidate lists) and how to run it
-// (serial, thread pool, OpenMP; batch size; thread count), replacing the
-// near-duplicate map_reads_* entrypoints, which remain as thin deprecated
-// wrappers for one release.
+// (serial, thread pool, OpenMP; batch size; thread count); it is the one
+// entry point for whole-set threaded, tiled and top-x runs.
 //
 // Two execution shapes share the same per-batch kernels:
 //  * run()        — in-memory: the query set is already loaded; batches are
@@ -58,7 +57,7 @@ enum class MapBackend {
 };
 
 /// One mapping job description — the single configuration point for every
-/// execution mode the deprecated map_reads_* family used to cover.
+/// execution mode (end segments, tiling, top-x; serial, pool, OpenMP).
 struct MapRequest {
   MapMode mode = MapMode::kEnds;
   MapBackend backend = MapBackend::kSerial;
@@ -213,16 +212,6 @@ struct MapReport {
 };
 
 class MappingEngine;
-
-namespace detail {
-/// The shared in-memory executor behind MappingEngine::run and the
-/// deprecated JemMapper::map_reads_* wrappers. `external_pool` (may be
-/// null) overrides request.threads for the kPool backend.
-[[nodiscard]] MapReport run_request(const JemMapper& mapper,
-                                    const io::SequenceSet& reads,
-                                    const MapRequest& request,
-                                    util::ThreadPool* external_pool = nullptr);
-}  // namespace detail
 
 class MappingEngine {
  public:

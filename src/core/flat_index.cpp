@@ -24,25 +24,33 @@ std::uint64_t FlatSketchIndex::hash(KmerCode kmer) noexcept {
   return util::mix64(kmer);
 }
 
-FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
-                                       std::size_t threads) {
+FlatSketchIndex FlatSketchIndex::build(
+    std::span<const std::span<const Posting>> runs, std::size_t threads) {
+  std::vector<std::size_t> keys(runs.size(), 0);
+  util::parallel_for_index(runs.size(), threads, [&](std::size_t t) {
+    const std::span<const Posting> run = runs[t];
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      keys[t] += i == 0 || run[i - 1].first != run[i].first;
+    }
+  });
+
   // Every trial's slot region and postings slice is placed up front (in
   // trial order), so the trials can then be filled independently.
   FlatSketchIndex index;
   std::vector<std::size_t> postings_begin;
-  index.base_.reserve(trials.size());
-  index.mask_.reserve(trials.size());
-  postings_begin.reserve(trials.size());
+  index.base_.reserve(runs.size());
+  index.mask_.reserve(runs.size());
+  postings_begin.reserve(runs.size());
   std::size_t total_slots = 0;
   std::size_t total_postings = 0;
-  for (const TrialView& trial : trials) {
-    const std::size_t capacity = region_capacity(trial.keys.size());
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    const std::size_t capacity = region_capacity(keys[t]);
     index.base_.push_back(total_slots);
     index.mask_.push_back(capacity - 1);
     postings_begin.push_back(total_postings);
     total_slots += capacity;
-    total_postings += trial.subjects.size();
-    index.keys_ += trial.keys.size();
+    total_postings += runs[t].size();
+    index.keys_ += keys[t];
   }
   if (total_postings > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error(
@@ -51,23 +59,22 @@ FlatSketchIndex FlatSketchIndex::build(std::span<const TrialView> trials,
   index.slots_.resize(total_slots);
   index.subjects_.resize(total_postings);
 
-  util::parallel_for_index(trials.size(), threads, [&](std::size_t t) {
-    const TrialView& trial = trials[t];
+  util::parallel_for_index(runs.size(), threads, [&](std::size_t t) {
+    const std::span<const Posting> run = runs[t];
     const std::size_t base = index.base_[t];
     const std::size_t mask = index.mask_[t];
     std::size_t next = postings_begin[t];
-    for (std::size_t k = 0; k < trial.keys.size(); ++k) {
-      const KmerCode kmer = trial.keys[k];
-      const std::uint32_t begin = trial.offsets[k];
-      const std::uint32_t end = trial.offsets[k + 1];
+    for (std::size_t j = 0; j < run.size();) {
+      const KmerCode kmer = run[j].first;
       const auto offset = static_cast<std::uint32_t>(next);
-      for (std::uint32_t j = begin; j < end; ++j) {
-        index.subjects_[next++] = trial.subjects[j];
+      for (; j < run.size() && run[j].first == kmer; ++j) {
+        index.subjects_[next++] = run[j].second;
       }
 
       std::size_t i = hash(kmer) & mask;
       while (index.slots_[base + i].count != 0) i = (i + 1) & mask;
-      index.slots_[base + i] = Slot{kmer, offset, end - begin};
+      index.slots_[base + i] =
+          Slot{kmer, offset, static_cast<std::uint32_t>(next - offset)};
     }
   });
   return index;

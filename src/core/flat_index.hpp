@@ -1,26 +1,26 @@
-// FlatSketchIndex — the frozen query-side form of the sketch table S: one
-// open-addressing (linear-probe, power-of-two) hash table per trial mapping
-// a minhash k-mer to its postings span.
+// FlatSketchIndex — the one form of the sketch table S, in memory and on
+// disk: one open-addressing (linear-probe, power-of-two) hash table per
+// trial mapping a minhash k-mer to its postings span.
 //
-// The CSR form answers lookup(t, kmer) with a binary search: O(log K) keys
-// touched, each a dependent cache miss. The flat index answers it with a
-// mixed-hash probe into a half-loaded slot array: ~1.1 slots touched on
-// average, each slot carrying the postings offset and count inline, so a hit
-// costs one cache line for the slot plus the postings themselves. This is
-// the minimap2 indexing strategy (Li 2018) adapted to the per-trial key
-// spaces of the JEM sketch.
+// A lookup(t, kmer) is a mixed-hash probe into a half-loaded slot array:
+// ~1.1 slots touched on average, each slot carrying the postings offset and
+// count inline, so a hit costs one cache line for the slot plus the postings
+// themselves. This is the minimap2 indexing strategy (Li 2018) adapted to
+// the per-trial key spaces of the JEM sketch.
 //
 // lookup_many resolves a whole segment-sketch's k-mer list for one trial and
 // software-prefetches each k-mer's home slot a fixed distance ahead, hiding
 // the (random) slot miss latency behind the probe of the current key — the
 // batched form the mapper's vote loop uses.
 //
-// The index is built once, from the same frozen CSR arrays the wire format
-// (SketchEntry lists) reconstructs, and is immutable afterwards.
+// The index is built once, from the per-trial sorted postings runs that
+// SketchTable::from_entries makes of the wire format (SketchEntry lists),
+// and is immutable afterwards.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/kmer.hpp"
@@ -30,14 +30,8 @@ namespace jem::core {
 
 class FlatSketchIndex {
  public:
-  /// One trial's frozen CSR arrays (the build input). `offsets` has
-  /// keys.size() + 1 entries; subjects[offsets[i], offsets[i+1]) are the
-  /// postings of keys[i].
-  struct TrialView {
-    std::span<const KmerCode> keys;
-    std::span<const std::uint32_t> offsets;
-    std::span<const io::SeqId> subjects;
-  };
+  /// One (kmer, subject) posting of the build input.
+  using Posting = std::pair<KmerCode, io::SeqId>;
 
   /// One probe slot; count == 0 marks an empty slot (every stored key has
   /// >= 1 posting). Public for the index artifact (core/index_serde), which
@@ -55,13 +49,15 @@ class FlatSketchIndex {
   /// build().
   FlatSketchIndex() = default;
 
-  /// Builds the index from per-trial CSR views, filling the trials on
-  /// `threads` workers (the result does not depend on the count). Keys
-  /// within a trial must be distinct (they are: CSR keys are sorted-unique).
-  /// Throws std::length_error if the postings exceed the uint32 offset
-  /// range.
+  /// Builds the index from one postings run per trial, each sorted by
+  /// (kmer, subject) with no duplicates. Keys are inserted in run order and
+  /// each trial's region and postings slice is placed in trial order, so
+  /// the slot array and postings pool depend only on the runs, not on the
+  /// `threads` workers that fill the trials. Throws std::length_error if the
+  /// postings exceed the uint32 offset range.
   [[nodiscard]] static FlatSketchIndex build(
-      std::span<const TrialView> trials, std::size_t threads = 1);
+      std::span<const std::span<const Posting>> runs,
+      std::size_t threads = 1);
 
   [[nodiscard]] int trials() const noexcept {
     return static_cast<int>(base_.size());

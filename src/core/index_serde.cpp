@@ -148,10 +148,6 @@ std::uint64_t subjects_digest(const io::SequenceSet& subjects) {
 std::string serialize_index(const SketchTable& table, const MapParams& params,
                             SketchScheme scheme,
                             const io::SequenceSet& subjects) {
-  if (!table.frozen()) {
-    throw std::logic_error("serialize_index: table must be frozen");
-  }
-
   io::ArtifactWriter writer(kIndexArtifactMagic, kIndexArtifactVersion);
 
   const PackedParams packed = pack_params(params, scheme);
@@ -162,28 +158,13 @@ std::string serialize_index(const SketchTable& table, const MapParams& params,
   subj.digest = subjects_digest(subjects);
   writer.add_section("SUBJSET", as_bytes(subj));
 
-  // SHAPE: totals, then per-trial (key count, posting count).
+  // SHAPE: the entry and key totals the flat parts are checked against.
   std::string shape;
   append_u64(shape, table.size());
   append_u64(shape, table.key_count());
-  std::string keys;
-  std::string offsets;
-  std::string postings;
-  for (int t = 0; t < table.trials(); ++t) {
-    const SketchTable::FrozenTrial& trial = table.frozen_trial(t);
-    append_u64(shape, trial.keys.size());
-    append_u64(shape, trial.subjects.size());
-    keys.append(span_bytes(std::span<const KmerCode>(trial.keys)));
-    offsets.append(
-        span_bytes(std::span<const std::uint32_t>(trial.offsets)));
-    postings.append(span_bytes(std::span<const io::SeqId>(trial.subjects)));
-  }
   writer.add_section("SHAPE", shape);
-  writer.add_section("KEYS", keys);
-  writer.add_section("OFFSETS", offsets);
-  writer.add_section("SUBJECTS", postings);
 
-  // The frozen flat index, raw: region geometry interleaved (base, mask)
+  // The flat index, raw: region geometry interleaved (base, mask)
   // per trial, then the slot array and its postings pool.
   const FlatSketchIndex& flat = table.flat();
   std::string geometry;
@@ -229,63 +210,11 @@ SketchTable deserialize_index(std::string bytes, const MapParams& params,
         "dense ids; refusing to map against mismatched contigs)");
   }
 
-  const std::string_view shape = reader.section("SHAPE");
-  const std::size_t trials = static_cast<std::size_t>(params.trials);
-  if (shape.size() != (2 + 2 * trials) * sizeof(std::uint64_t)) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "SHAPE section size disagrees with the trial count");
-  }
+  const std::string_view shape =
+      reader.section("SHAPE", 2 * sizeof(std::uint64_t));
   const std::uint64_t total_entries = read_u64_at(shape, 0);
   const std::uint64_t total_keys = read_u64_at(shape, 1);
-
-  std::vector<KmerCode> keys =
-      decode_array<KmerCode>(reader.section("KEYS"), "KEYS");
-  std::vector<std::uint32_t> offsets =
-      decode_array<std::uint32_t>(reader.section("OFFSETS"), "OFFSETS");
-  std::vector<io::SeqId> postings =
-      decode_array<io::SeqId>(reader.section("SUBJECTS"), "SUBJECTS");
-
-  std::vector<SketchTable::FrozenTrial> frozen(trials);
-  std::size_t key_cursor = 0;
-  std::size_t offset_cursor = 0;
-  std::size_t posting_cursor = 0;
-  std::uint64_t shape_entries = 0;
-  std::uint64_t shape_keys = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const std::uint64_t trial_keys = read_u64_at(shape, 2 + 2 * t);
-    const std::uint64_t trial_postings = read_u64_at(shape, 3 + 2 * t);
-    shape_keys += trial_keys;
-    shape_entries += trial_postings;
-    if (key_cursor + trial_keys > keys.size() ||
-        offset_cursor + trial_keys + 1 > offsets.size() ||
-        posting_cursor + trial_postings > postings.size()) {
-      throw ArtifactError(ArtifactReason::kBadSection,
-                          "SHAPE counts overrun the CSR sections");
-    }
-    frozen[t].keys.assign(
-        keys.begin() + static_cast<std::ptrdiff_t>(key_cursor),
-        keys.begin() + static_cast<std::ptrdiff_t>(key_cursor + trial_keys));
-    frozen[t].offsets.assign(
-        offsets.begin() + static_cast<std::ptrdiff_t>(offset_cursor),
-        offsets.begin() +
-            static_cast<std::ptrdiff_t>(offset_cursor + trial_keys + 1));
-    frozen[t].subjects.assign(
-        postings.begin() + static_cast<std::ptrdiff_t>(posting_cursor),
-        postings.begin() +
-            static_cast<std::ptrdiff_t>(posting_cursor + trial_postings));
-    key_cursor += trial_keys;
-    offset_cursor += trial_keys + 1;
-    posting_cursor += trial_postings;
-  }
-  if (key_cursor != keys.size() || offset_cursor != offsets.size() ||
-      posting_cursor != postings.size()) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "CSR sections have trailing data beyond SHAPE");
-  }
-  if (shape_keys != total_keys || shape_entries != total_entries) {
-    throw ArtifactError(ArtifactReason::kBadSection,
-                        "SHAPE totals disagree with its per-trial counts");
-  }
+  const std::size_t trials = static_cast<std::size_t>(params.trials);
 
   std::vector<std::uint64_t> geometry = decode_array<std::uint64_t>(
       reader.section("FLATGEO", 2 * trials * sizeof(std::uint64_t)),
@@ -301,15 +230,18 @@ SketchTable deserialize_index(std::string bytes, const MapParams& params,
                                           "FLATSLOT");
   std::vector<io::SeqId> flat_subjects =
       decode_array<io::SeqId>(reader.section("FLATSUB"), "FLATSUB");
+  if (flat_subjects.size() != total_entries) {
+    throw ArtifactError(ArtifactReason::kBadSection,
+                        "SHAPE entry total disagrees with FLATSUB");
+  }
 
   try {
     FlatSketchIndex flat = FlatSketchIndex::from_parts(
         std::move(slots), std::move(bases), std::move(masks),
         std::move(flat_subjects), static_cast<std::size_t>(total_keys));
-    return SketchTable::from_frozen(params.trials, std::move(frozen),
-                                    std::move(flat));
+    return SketchTable::from_flat(params.trials, std::move(flat));
   } catch (const std::invalid_argument& error) {
-    // Structural validation failures in the reconstructors mean the
+    // Structural validation failures in the reconstructor mean the
     // artifact's (checksummed) sections are mutually inconsistent — treat
     // as a malformed artifact, not a programming error.
     throw ArtifactError(ArtifactReason::kBadSection, error.what());

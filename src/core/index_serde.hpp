@@ -1,15 +1,15 @@
 // Persistent sketch-index artifact (paper stages S2-S3 made durable): a
-// versioned, checksummed on-disk form of the frozen SketchTable, so the
-// global sketch table is built from FASTA once and reloaded on every later
-// run — the .mmi lesson from minimap2 applied to the JEM sketch.
+// versioned, checksummed on-disk form of the SketchTable, so the global
+// sketch table is built from FASTA once and reloaded on every later run —
+// the .mmi lesson from minimap2 applied to the JEM sketch.
 //
-// The artifact persists both frozen forms the query path needs:
-//   * the per-trial CSR arrays (keys / offsets / postings), and
-//   * the FlatSketchIndex raw parts (slot array + region geometry),
-// so load_index skips sketching, sorting AND the flat-index build: the
-// loaded table is query-ready as-is.
+// The artifact persists the table's one form, the FlatSketchIndex raw parts
+// (slot array + region geometry + postings pool), so load_index skips
+// sketching, sorting AND the index build: the loaded table is query-ready
+// as-is.
 //
-// Sections ("JEMIDX1\0" container, io/artifact.hpp framing):
+// Sections ("JEMIDX1\0" container, format version 2, io/artifact.hpp
+// framing):
 //   PARAMS   packed mapping-parameter fingerprint (k/w/ordering/T/ℓ/seed/
 //            min_votes/scheme) — compared field-by-field on load; any
 //            disagreement is ArtifactError(kParamsMismatch) naming the
@@ -20,9 +20,13 @@
 //            and base — postings reference subjects by dense id, so an
 //            index is only valid with the exact contig set it was built
 //            from.
-//   SHAPE    entry/key totals and per-trial key/posting counts.
-//   KEYS / OFFSETS / SUBJECTS    concatenated per-trial CSR arrays.
-//   FLATGEO / FLATSLOT / FLATSUB FlatSketchIndex raw parts.
+//   SHAPE    entry and key totals, checked against the flat parts.
+//   FLATGEO / FLATSLOT / FLATSUB FlatSketchIndex raw parts, validated by
+//            FlatSketchIndex::from_parts so a probe can never read out of
+//            bounds or spin forever.
+//
+// Version 1 also carried a CSR copy of the postings (KEYS / OFFSETS /
+// SUBJECTS); a v1 file is rejected as kBadVersion and rebuilt from FASTA.
 //
 // Every load failure — truncation, bit rot, foreign file, parameter or
 // subject-set mismatch — surfaces as a structured ArtifactError; callers
@@ -43,7 +47,7 @@ enum class SketchScheme;  // defined in core/mapper.hpp
 
 inline constexpr std::uint64_t kIndexArtifactMagic =
     0x00315844494d454aULL;  // "JEMIDX1\0"
-inline constexpr std::uint32_t kIndexArtifactVersion = 1;
+inline constexpr std::uint32_t kIndexArtifactVersion = 2;
 
 /// XXH64 digest of the packed parameter fingerprint — the params word of
 /// the run-journal fingerprint (io/checkpoint.hpp).
@@ -54,8 +58,7 @@ inline constexpr std::uint32_t kIndexArtifactVersion = 1;
 /// artifact to the exact contig set whose dense ids its postings reference.
 [[nodiscard]] std::uint64_t subjects_digest(const io::SequenceSet& subjects);
 
-/// Serializes a frozen table (throws std::logic_error on an unfrozen one)
-/// into the artifact byte string.
+/// Serializes a table into the artifact byte string.
 [[nodiscard]] std::string serialize_index(const SketchTable& table,
                                           const MapParams& params,
                                           SketchScheme scheme,
@@ -67,7 +70,7 @@ void save_index(const std::string& path, const SketchTable& table,
                 const io::SequenceSet& subjects);
 
 /// Parses, integrity-checks and validates an artifact against this run's
-/// parameters and subject set, returning a frozen, query-ready table.
+/// parameters and subject set, returning a query-ready table.
 /// Throws io::ArtifactError on any defect (see file header).
 [[nodiscard]] SketchTable deserialize_index(std::string bytes,
                                             const MapParams& params,

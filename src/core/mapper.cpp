@@ -1,9 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "core/engine.hpp"
 #include "obs/metrics.hpp"
 
 namespace jem::core {
@@ -135,7 +133,6 @@ JemMapper::JemMapper(const io::SequenceSet& subjects, MapParams params,
   if (table_.trials() != params_.trials) {
     throw std::invalid_argument("JemMapper: table trial count mismatch");
   }
-  table_.freeze();  // idempotent; the query path needs the flat index
 }
 
 MapResult JemMapper::map_segment(std::string_view segment,
@@ -189,8 +186,9 @@ MapResult JemMapper::map_segment(std::string_view segment,
 MapResult JemMapper::map_segment_reference(std::string_view segment,
                                            MapScratch& scratch) const {
   // Frozen pre-overhaul kernel for the JEM scheme (per-trial std::deque
-  // windows, allocated per call); CSR binary-search lookups below. This is
-  // the baseline BENCH_hotpath.json measures the hot path against.
+  // windows, allocated per call) and one unbatched flat-index probe per
+  // k-mer below. This is the baseline BENCH_hotpath.json measures the hot
+  // path against.
   const Sketch sketch =
       scheme_ == SketchScheme::kJem
           ? sketch_by_jem_reference(
@@ -199,12 +197,13 @@ MapResult JemMapper::map_segment_reference(std::string_view segment,
                 params_.segment_length, hashes_)
           : make_sketch(segment, params_, scheme_, hashes_);
 
+  const FlatSketchIndex& index = table_.flat();
   MapResult best;
   scratch.votes().new_round();
   for (int t = 0; t < params_.trials; ++t) {
     scratch.seen().new_round();
     for (KmerCode kmer : sketch.per_trial[static_cast<std::size_t>(t)]) {
-      for (io::SeqId subject : table_.lookup(t, kmer)) {
+      for (io::SeqId subject : index.lookup(t, kmer)) {
         if (!scratch.seen().first_time(subject)) continue;
         const std::uint32_t count = scratch.votes().increment(subject);
         if (count > best.votes ||
@@ -313,14 +312,6 @@ std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
   return map_reads_topx(reads, x, begin, end, scratch);
 }
 
-std::vector<SegmentTopX> JemMapper::map_reads_topx(const io::SequenceSet& reads,
-                                                   std::size_t x) const {
-  MapRequest request;
-  request.mode = MapMode::kTopX;
-  request.top_x = x;
-  return detail::run_request(*this, reads, request).topx;
-}
-
 std::vector<SegmentMapping> JemMapper::map_reads(const io::SequenceSet& reads,
                                                  io::SeqId begin, io::SeqId end,
                                                  MapScratch& scratch) const {
@@ -377,27 +368,6 @@ std::vector<SegmentMapping> JemMapper::map_reads_tiled(
     const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const {
   MapScratch scratch(subjects_.size());
   return map_reads_tiled(reads, begin, end, scratch);
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_tiled(
-    const io::SequenceSet& reads) const {
-  MapRequest request;
-  request.mode = MapMode::kTiled;
-  return detail::run_request(*this, reads, request).mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_openmp(
-    const io::SequenceSet& reads) const {
-  MapRequest request;
-  request.backend = MapBackend::kOpenMP;
-  return detail::run_request(*this, reads, request).mappings;
-}
-
-std::vector<SegmentMapping> JemMapper::map_reads_parallel(
-    const io::SequenceSet& reads, util::ThreadPool& pool) const {
-  MapRequest request;
-  request.backend = MapBackend::kPool;
-  return detail::run_request(*this, reads, request, &pool).mappings;
 }
 
 std::vector<io::MappingLine> JemMapper::to_mapping_lines(

@@ -166,10 +166,9 @@ void make_sketch(std::string_view seq, const MapParams& params,
     const MapParams& params, SketchScheme scheme, const HashFamily& hashes,
     std::size_t threads = 0);
 
-/// The frozen table of subjects [begin, end):
+/// The table of subjects [begin, end):
 /// SketchTable::from_entries(sketch_entries(...)) on `threads` workers (0 =
-/// hardware concurrency). Byte-identical to inserting every subject's
-/// sketch and freezing.
+/// hardware concurrency), byte-identical for every thread count.
 [[nodiscard]] SketchTable sketch_subjects(const io::SequenceSet& subjects,
                                           io::SeqId begin, io::SeqId end,
                                           const MapParams& params,
@@ -205,11 +204,12 @@ class JemMapper {
   /// Convenience overload allocating its own scratch (tests, examples).
   [[nodiscard]] MapResult map_segment(std::string_view segment) const;
 
-  /// The pre-overhaul query path: allocates a fresh Sketch and resolves
-  /// every (trial, k-mer) with the CSR binary search. Kept as the oracle
-  /// for the golden-equivalence tests and as the baseline bench_micro's
-  /// hot-path benchmark measures the flat+scratch path against. Returns
-  /// exactly what map_segment returns.
+  /// The pre-overhaul query path: allocates a fresh Sketch (deque-window
+  /// kernel) and resolves every (trial, k-mer) with its own single-key
+  /// flat-index probe, unbatched. Kept as the oracle for the
+  /// golden-equivalence tests and as the baseline bench_micro's hot-path
+  /// benchmark measures the scratch + batched path against. Returns exactly
+  /// what map_segment returns.
   [[nodiscard]] MapResult map_segment_reference(std::string_view segment,
                                                 MapScratch& scratch) const;
 
@@ -230,13 +230,6 @@ class JemMapper {
       const io::SequenceSet& reads, std::size_t x, io::SeqId begin,
       io::SeqId end) const;
 
-  /// Deprecated: route whole-set batch runs through core::MappingEngine
-  /// (MapRequest{.mode = MapMode::kTopX}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapMode::kTopX (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentTopX> map_reads_topx(
-      const io::SequenceSet& reads, std::size_t x) const;
-
   /// Maps the end segments of reads [begin, end) sequentially, reusing the
   /// caller's scratch.
   [[nodiscard]] std::vector<SegmentMapping> map_reads(
@@ -251,13 +244,6 @@ class JemMapper {
   [[nodiscard]] std::vector<SegmentMapping> map_reads(
       const io::SequenceSet& reads) const;
 
-  /// Deprecated: route threaded runs through core::MappingEngine
-  /// (MapRequest{.backend = MapBackend::kPool}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapBackend::kPool (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_parallel(
-      const io::SequenceSet& reads, util::ThreadPool& pool) const;
-
   /// Containment mode (paper §III-B1's noted extension): tiles reads
   /// [begin, end) with ℓ-length segments and maps every tile, so contigs
   /// contained in read interiors are found too. Reuses the caller's scratch.
@@ -268,20 +254,6 @@ class JemMapper {
   /// Containment mode over reads [begin, end).
   [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
       const io::SequenceSet& reads, io::SeqId begin, io::SeqId end) const;
-
-  /// Deprecated: route whole-set containment runs through
-  /// core::MappingEngine (MapRequest{.mode = MapMode::kTiled}).
-  [[deprecated(
-      "use MappingEngine::run with MapMode::kTiled (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_tiled(
-      const io::SequenceSet& reads) const;
-
-  /// Deprecated: route OpenMP runs through core::MappingEngine
-  /// (MapRequest{.backend = MapBackend::kOpenMP}); see docs/engine.md.
-  [[deprecated(
-      "use MappingEngine::run with MapBackend::kOpenMP (docs/engine.md)")]]
-  [[nodiscard]] std::vector<SegmentMapping> map_reads_openmp(
-      const io::SequenceSet& reads) const;
 
   /// Renders mappings as output lines (query/subject names resolved).
   [[nodiscard]] std::vector<io::MappingLine> to_mapping_lines(

@@ -16,7 +16,7 @@
 //    ServiceErrorCode) instead of throwing on per-request conditions such
 //    as an expired deadline, so a server can keep serving.
 //  * MappingService — owns the subject set and the MappingEngine, loads a
-//    frozen JEMIDX1 index when one is offered (core::index_serde, with the
+//    JEMIDX index artifact when one is offered (core::index_serde, with the
 //    same reject-and-rebuild fallback jem_map uses), and maps single
 //    requests or coalesced micro-batches. Batch results are bit-identical
 //    to single-shot JemMapper::map_segment output (golden-tested) — the
@@ -204,11 +204,11 @@ class MappingService {
   /// the service from then on.
   MappingService(io::SequenceSet subjects, ServiceConfig config);
 
-  /// Adopts a pre-built (e.g. loaded) frozen table.
+  /// Adopts a pre-built (e.g. loaded) table.
   MappingService(io::SequenceSet subjects, ServiceConfig config,
                  SketchTable table);
 
-  /// Loads the frozen JEMIDX1 index at `index_path` (core::index_serde) and
+  /// Loads the JEMIDX index artifact at `index_path` (core::index_serde) and
   /// serves from it. A missing/corrupt/mismatched artifact is never fatal:
   /// the reason is recorded in load_report() and the index is rebuilt from
   /// the subject set — the same degrade-gracefully contract jem_map's

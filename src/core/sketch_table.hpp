@@ -4,14 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flat_index.hpp"
-#include "core/sketch.hpp"
+#include "core/kmer.hpp"
 #include "io/sequence.hpp"
 
 namespace jem::core {
@@ -27,116 +25,58 @@ struct SketchEntry {
 };
 static_assert(sizeof(SketchEntry) == 16);
 
-// The table has three representations:
-//  * a mutable hash-map form filled by insert() (tests and small incremental
-//    builds; freeze() turns it into the frozen forms),
-//  * a frozen CSR form — per trial, a position-sorted key array with a
-//    postings array — matching the paper's description of S_global as
-//    "T lists" (Fig 2). The production build path (sketch_subjects, the
-//    distributed S3) is from_entries: the wire entries are bucketed per
-//    trial with a counting pass, each trial is sorted (trials in
-//    parallel) and emitted as CSR, with no hash maps at all; and
-//  * a FlatSketchIndex built alongside the CSR form on freeze — the
-//    open-addressing form the query hot path probes (O(1) per lookup, with
-//    batched prefetching). lookup() keeps answering from the CSR arrays so
-//    the two forms can be validated against each other; flat() exposes the
-//    hash index JemMapper queries.
-// freeze() and from_entries share one per-trial CSR emitter, so both give
-// byte-identical arrays for the same entries. Freezing throws
-// std::length_error if any trial's postings exceed the std::uint32_t offset
-// range of the CSR layout (2^32 - 1 entries per trial) rather than
-// silently truncating.
+// The table has one form: a FlatSketchIndex, the open-addressing index every
+// query path probes (O(1) per lookup, with batched prefetching) and the
+// index artifact (core/index_serde) persists verbatim. It is built by
+// from_entries — the wire entries are bucketed per trial with a counting
+// pass, each trial is sorted and deduplicated (trials in parallel), and the
+// sorted runs fill the flat index directly — or by from_flat, the artifact
+// loader. A table is immutable once built.
 class SketchTable {
  public:
-  /// One trial's frozen list: postings sorted by (kmer, subject); keys/
-  /// offsets index the distinct k-mers (CSR layout). Public for the index
-  /// artifact (core/index_serde), which persists the arrays verbatim.
-  struct FrozenTrial {
-    std::vector<KmerCode> keys;              // sorted distinct k-mers
-    std::vector<std::uint32_t> offsets;      // keys.size() + 1 entries
-    std::vector<io::SeqId> subjects;         // concatenated postings
-  };
+  [[nodiscard]] int trials() const noexcept { return flat_.trials(); }
 
-  /// Creates an empty (mutable) table with `trials` trial bins.
-  explicit SketchTable(int trials);
+  /// A no-op kept for callers written against the former mutable table: a
+  /// SketchTable is query-ready as built.
+  void freeze() const noexcept {}
 
-  [[nodiscard]] int trials() const noexcept { return trials_; }
-
-  /// Inserts every (trial, kmer) of `sketch` with value `subject`.
-  /// Duplicate (trial, kmer, subject) triples are collapsed.
-  /// Throws std::logic_error on a frozen table.
-  void insert(const Sketch& sketch, io::SeqId subject);
-
-  /// Inserts one entry. Throws std::logic_error on a frozen table.
-  void insert(int trial, KmerCode kmer, io::SeqId subject);
-
-  /// Converts the mutable form into the frozen CSR form (idempotent).
-  void freeze();
-
-  [[nodiscard]] bool frozen() const noexcept { return frozen_; }
-
-  /// Subjects that produced `kmer` in trial `t` (empty span if none).
-  /// On a frozen table this is the CSR binary search; the hot path uses
-  /// flat() instead.
-  [[nodiscard]] std::span<const io::SeqId> lookup(int trial,
-                                                  KmerCode kmer) const;
-
-  /// The open-addressing query index (throws std::logic_error unless
-  /// frozen). Lookups agree exactly with lookup() on a frozen table.
-  [[nodiscard]] const FlatSketchIndex& flat() const;
+  /// The query index.
+  [[nodiscard]] const FlatSketchIndex& flat() const noexcept { return flat_; }
 
   /// Number of stored (trial, kmer, subject) entries.
-  [[nodiscard]] std::size_t size() const noexcept { return entries_; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return flat_.subjects().size();
+  }
 
   /// Number of distinct (trial, kmer) keys.
-  [[nodiscard]] std::size_t key_count() const noexcept;
+  [[nodiscard]] std::size_t key_count() const noexcept {
+    return flat_.key_count();
+  }
 
-  /// Flattens to the wire format (entries ordered by trial, then key order
-  /// of the underlying map — order is irrelevant to reconstruction).
+  /// Flattens to the wire format (entries ordered by trial, then slot order
+  /// of the flat index — order is irrelevant to reconstruction).
   [[nodiscard]] std::vector<SketchEntry> to_entries() const;
 
-  /// Rebuilds a (frozen) table from concatenated per-rank entry lists, in
-  /// any order. Duplicate triples across ranks are collapsed. The trials
-  /// are sorted on `threads` workers (0 = hardware concurrency); the result
-  /// is byte-identical for every thread count and equal to inserting the
-  /// same entries and freezing.
+  /// Builds a table from concatenated per-rank entry lists, in any order.
+  /// Duplicate triples across ranks are collapsed; `trials` == 0 or an entry
+  /// with a trial id >= `trials` is std::invalid_argument. The trials are
+  /// sorted on `threads` workers (0 = hardware concurrency); the result is
+  /// byte-identical for every thread count. from_entries(trials, {}) is the
+  /// empty table.
   [[nodiscard]] static SketchTable from_entries(
       int trials, std::span<const SketchEntry> entries,
       std::size_t threads = 1);
 
-  /// Legacy index persistence: a versioned binary dump (magic + trials +
-  /// entry list), retained for wire-format compatibility. New code should
-  /// use the checksummed artifact format in core/index_serde (save_index /
-  /// load_index), which also persists the frozen CSR + flat-index forms so
-  /// loading skips the freeze entirely. load() returns a frozen table.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static SketchTable load(std::istream& in);
-
-  /// One trial's frozen CSR arrays (throws std::logic_error unless frozen).
-  [[nodiscard]] const FrozenTrial& frozen_trial(int trial) const;
-
-  /// Reconstructs a frozen table directly from persisted per-trial CSR
-  /// arrays and a pre-built flat index — the artifact load path: no re-sort,
-  /// no re-hash, no freeze. Validates CSR shape consistency (offset array
-  /// sizes, postings totals, sortedness of keys) and that the flat index
-  /// agrees on trial and key counts; throws std::invalid_argument on any
-  /// violation so a corrupted artifact cannot produce a malformed table.
-  [[nodiscard]] static SketchTable from_frozen(
-      int trials, std::vector<FrozenTrial> frozen_trials,
-      FlatSketchIndex flat);
+  /// Adopts a persisted flat index (the artifact load path: no re-sort, no
+  /// re-hash). Throws std::invalid_argument unless it has `trials` trials;
+  /// FlatSketchIndex::from_parts has already validated its geometry.
+  [[nodiscard]] static SketchTable from_flat(int trials,
+                                             FlatSketchIndex flat);
 
  private:
-  using Bin = std::unordered_map<KmerCode, std::vector<io::SeqId>>;
+  explicit SketchTable(FlatSketchIndex flat) : flat_(std::move(flat)) {}
 
-  /// Builds flat_ from the frozen CSR arrays (last step of freezing).
-  void build_flat_index(std::size_t threads);
-
-  int trials_ = 0;
-  std::vector<Bin> bins_;
-  std::vector<FrozenTrial> frozen_trials_;
   FlatSketchIndex flat_;
-  bool frozen_ = false;
-  std::size_t entries_ = 0;
 };
 
 }  // namespace jem::core

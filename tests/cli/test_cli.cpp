@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,13 +18,15 @@ namespace {
 /// Runs a subcommand entry point with a shell-style argument list, capturing
 /// log output so test runs stay quiet.
 int run(int (*entry)(std::span<const char* const>, std::string_view),
-        const std::vector<std::string>& args, std::string_view program) {
+        const std::vector<std::string>& args, std::string_view program,
+        std::string* log = nullptr) {
   std::vector<const char*> argv;
   argv.reserve(args.size());
   for (const std::string& arg : args) argv.push_back(arg.c_str());
   (void)util::Log::begin_capture();
   const int exit_code = entry({argv.data(), argv.size()}, program);
-  (void)util::Log::end_capture();
+  const std::string captured = util::Log::end_capture();
+  if (log != nullptr) *log = captured;
   return exit_code;
 }
 
@@ -104,6 +108,39 @@ TEST(CliBuildIndex, ArtifactLoadsIntoTheService) {
       index_path, std::move(subjects), config);
   EXPECT_TRUE(service.load_report().loaded_from_artifact);
   EXPECT_TRUE(service.load_report().rejection.empty());
+}
+
+TEST(CliMap, VersionOneIndexIsRebuiltWithIdenticalOutput) {
+  // An index artifact from format version 1 (which also carried a CSR copy
+  // of the postings) is rejected as bad-version; `jem map` rebuilds from
+  // the inputs and writes the same TSV as a run without --load-index.
+  const std::string dir = ::testing::TempDir();
+  const std::string index_path = dir + "/cli_v1.jemidx";
+  const std::string fresh = dir + "/cli_v1_fresh.tsv";
+  const std::string reloaded = dir + "/cli_v1_reloaded.tsv";
+  ASSERT_EQ(run(run_build_index, {"--demo", "--output", index_path},
+                "jem build-index"),
+            kExitOk);
+  std::string bytes = read_file(index_path);
+  ASSERT_GT(bytes.size(), 16u);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));  // header: magic, version
+  {
+    std::ofstream out(index_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  ASSERT_EQ(run(run_map, {"--demo", "--output", fresh}, "jem map"), kExitOk);
+  std::string log;
+  ASSERT_EQ(run(run_map,
+                {"--demo", "--load-index", index_path, "--output", reloaded},
+                "jem map", &log),
+            kExitOk);
+  EXPECT_NE(log.find("rejected"), std::string::npos) << log;
+  EXPECT_NE(log.find("version 1"), std::string::npos) << log;
+  const std::string fresh_bytes = read_file(fresh);
+  ASSERT_FALSE(fresh_bytes.empty());
+  EXPECT_EQ(read_file(reloaded), fresh_bytes);
 }
 
 TEST(CliDemoDataset, IsDeterministicPerSeed) {

@@ -1,10 +1,10 @@
 // The sort-based index build (sketch_entries -> SketchTable::from_entries)
-// must give byte-identical frozen tables to the reference build —
-// SketchTable::insert of every subject's sketch, then freeze() — for every
-// thread count, sketch scheme and minimizer ordering: the same CSR
-// keys/offsets/subjects and the same flat-index slots and postings. That
-// covers both production callers: sketch_subjects (JemMapper, the engine)
-// and the distributed S2 -> allgather -> S3 composition.
+// must agree with an independent reference — a test-local ordered map built
+// by inserting every subject's sketch (reference_table.hpp) — and give
+// byte-identical flat indexes (slots, postings, region geometry) for every
+// thread count, sketch scheme and minimizer ordering. That covers both
+// production callers: sketch_subjects (JemMapper, the engine) and the
+// distributed S2 -> allgather -> S3 composition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "core/distributed.hpp"
 #include "core/mapper.hpp"
 #include "core/sketch_table.hpp"
+#include "reference_table.hpp"
 #include "util/prng.hpp"
 
 namespace jem::core {
@@ -47,16 +48,8 @@ io::SequenceSet make_subjects() {
 
 void expect_identical(const SketchTable& got, const SketchTable& want,
                       const std::string& what) {
-  ASSERT_TRUE(got.frozen()) << what;
   ASSERT_EQ(got.trials(), want.trials()) << what;
   EXPECT_EQ(got.size(), want.size()) << what;
-  for (int t = 0; t < want.trials(); ++t) {
-    const auto& a = got.frozen_trial(t);
-    const auto& b = want.frozen_trial(t);
-    EXPECT_EQ(a.keys, b.keys) << what << " trial " << t;
-    EXPECT_EQ(a.offsets, b.offsets) << what << " trial " << t;
-    EXPECT_EQ(a.subjects, b.subjects) << what << " trial " << t;
-  }
   const FlatSketchIndex& fa = got.flat();
   const FlatSketchIndex& fb = want.flat();
   EXPECT_TRUE(std::ranges::equal(fa.slots(), fb.slots())) << what;
@@ -64,6 +57,25 @@ void expect_identical(const SketchTable& got, const SketchTable& want,
   EXPECT_TRUE(std::ranges::equal(fa.bases(), fb.bases())) << what;
   EXPECT_TRUE(std::ranges::equal(fa.masks(), fb.masks())) << what;
   EXPECT_EQ(fa.key_count(), fb.key_count()) << what;
+}
+
+/// Every subject's sketch as wire entries, made one subject at a time from
+/// make_sketch — independent of sketch_entries' parallel partitioning.
+std::vector<SketchEntry> inserted_entries(const io::SequenceSet& subjects,
+                                          const MapParams& params,
+                                          SketchScheme scheme,
+                                          const HashFamily& hashes) {
+  std::vector<SketchEntry> entries;
+  for (io::SeqId id = 0; id < subjects.size(); ++id) {
+    const Sketch sketch = make_sketch(subjects.bases(id), params, scheme,
+                                      hashes);
+    for (std::uint32_t t = 0; t < sketch.per_trial.size(); ++t) {
+      for (const KmerCode kmer : sketch.per_trial[t]) {
+        entries.push_back({kmer, t, id});
+      }
+    }
+  }
+  return entries;
 }
 
 class IndexBuildParity
@@ -79,14 +91,17 @@ class IndexBuildParity
     scheme_ = std::get<0>(GetParam());
     hashes_.emplace(params_.trials, params_.seed);
     subjects_ = make_subjects();
-    reference_ = std::make_unique<SketchTable>(params_.trials);
-    for (io::SeqId id = 0; id < subjects_.size(); ++id) {
-      reference_->insert(make_sketch(subjects_.bases(id), params_, scheme_,
-                                     hashes()),
-                         id);
-    }
-    reference_->freeze();
-    ASSERT_GT(reference_->size(), 0u);
+    inserted_ = inserted_entries(subjects_, params_, scheme_, hashes());
+    ASSERT_FALSE(inserted_.empty());
+    serial_ = std::make_unique<SketchTable>(
+        SketchTable::from_entries(params_.trials, inserted_));
+    testing_support::expect_matches_reference(*serial_, inserted_, "serial");
+  }
+
+  /// Equal to the reference, and byte-identical to the one-thread build.
+  void expect_reference(const SketchTable& table, const std::string& what) {
+    testing_support::expect_matches_reference(table, inserted_, what);
+    expect_identical(table, *serial_, what);
   }
 
   [[nodiscard]] const HashFamily& hashes() const { return *hashes_; }
@@ -98,15 +113,15 @@ class IndexBuildParity
   SketchScheme scheme_ = SketchScheme::kJem;
   std::optional<HashFamily> hashes_;
   io::SequenceSet subjects_;
-  std::unique_ptr<SketchTable> reference_;
+  std::vector<SketchEntry> inserted_;
+  std::unique_ptr<SketchTable> serial_;
 };
 
 TEST_P(IndexBuildParity, SketchSubjectsMatchesInsertAndFreeze) {
   for (const std::size_t threads : kThreadCounts) {
     const SketchTable table = sketch_subjects(subjects_, 0, count(), params_,
                                               scheme_, hashes(), threads);
-    expect_identical(table, *reference_,
-                     "threads=" + std::to_string(threads));
+    expect_reference(table, "threads=" + std::to_string(threads));
   }
 }
 
@@ -123,9 +138,8 @@ TEST_P(IndexBuildParity, DistributedS2S3MatchesInsertAndFreeze) {
       }
       const SketchTable table =
           SketchTable::from_entries(params_.trials, global, threads);
-      expect_identical(table, *reference_,
-                       "ranks=" + std::to_string(ranks) +
-                           " threads=" + std::to_string(threads));
+      expect_reference(table, "ranks=" + std::to_string(ranks) +
+                                  " threads=" + std::to_string(threads));
     }
   }
 }
@@ -133,7 +147,7 @@ TEST_P(IndexBuildParity, DistributedS2S3MatchesInsertAndFreeze) {
 TEST_P(IndexBuildParity, SketchEntriesDoNotDependOnThreadCount) {
   const std::vector<SketchEntry> serial =
       sketch_entries(subjects_, 0, count(), params_, scheme_, hashes(), 1);
-  ASSERT_EQ(serial.size(), reference_->size());
+  ASSERT_EQ(serial.size(), serial_->size());
   // Subject-major in id order.
   EXPECT_TRUE(std::ranges::is_sorted(
       serial, {}, [](const SketchEntry& e) { return e.subject; }));
@@ -171,28 +185,36 @@ TEST(IndexBuild, SketchEntriesCoverOnlyTheRange) {
 TEST(IndexBuild, FromEntriesIgnoresOrderAndDuplicatesOnAnyThreadCount) {
   util::Xoshiro256ss rng(7);
   std::vector<SketchEntry> entries;
-  SketchTable reference(5);
   for (int i = 0; i < 3000; ++i) {
     const SketchEntry entry{rng.bounded(400),
                             static_cast<std::uint32_t>(rng.bounded(5)),
                             static_cast<io::SeqId>(rng.bounded(60))};
     entries.push_back(entry);
     if (i % 3 == 0) entries.push_back(entry);  // duplicate triples collapse
-    reference.insert(static_cast<int>(entry.trial), entry.kmer,
-                     entry.subject);
   }
-  reference.freeze();
+  const SketchTable serial = SketchTable::from_entries(5, entries);
+  testing_support::expect_matches_reference(serial, entries, "serial");
+  std::vector<SketchEntry> reversed(entries.rbegin(), entries.rend());
   for (const std::size_t threads : kThreadCounts) {
-    expect_identical(SketchTable::from_entries(5, entries, threads),
-                     reference, "threads=" + std::to_string(threads));
+    const std::string what = "threads=" + std::to_string(threads);
+    expect_identical(SketchTable::from_entries(5, entries, threads), serial,
+                     what);
+    expect_identical(SketchTable::from_entries(5, reversed, threads), serial,
+                     what + " reversed");
   }
 }
 
 TEST(IndexBuild, BuiltMapperTableIsFrozen) {
+  // The self-sketching JemMapper's table is query-ready as built and holds
+  // exactly the subjects' sketches.
   const io::SequenceSet subjects = make_subjects();
-  const JemMapper mapper(subjects, MapParams{});
-  EXPECT_TRUE(mapper.table().frozen());
+  const MapParams params;
+  const JemMapper mapper(subjects, params);
   EXPECT_GT(mapper.table().flat().key_count(), 0u);
+  testing_support::expect_matches_reference(
+      mapper.table(),
+      inserted_entries(subjects, params, SketchScheme::kJem, mapper.hashes()),
+      "mapper");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -108,7 +109,8 @@ TEST_F(IndexSerdeTest, SaveLoadProducesBitIdenticalMappings) {
 
   SketchTable loaded =
       deserialize_index(bytes, params_, SketchScheme::kJem, subjects_);
-  EXPECT_TRUE(loaded.frozen());  // query-ready without freeze()
+  EXPECT_TRUE(std::ranges::equal(loaded.flat().slots(),
+                                 fresh.table().flat().slots()));
 
   const JemMapper reloaded(subjects_, params_, SketchScheme::kJem,
                            std::move(loaded));
@@ -141,19 +143,28 @@ TEST_F(IndexSerdeTest, SaveThenLoadFromDiskRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST_F(IndexSerdeTest, UnfrozenTableRefusesToSerialize) {
-  // sketch_subjects returns a frozen table, so insert() builds this one.
-  const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable unfrozen(params_.trials);
-  for (io::SeqId id = 0; id < subjects_.size(); ++id) {
-    unfrozen.insert(
-        make_sketch(subjects_.bases(id), params_, SketchScheme::kJem, hashes),
-        id);
+TEST_F(IndexSerdeTest, VersionOneArtifactIsBadVersion) {
+  // A format-1 artifact (the same container with the CSR copy of the
+  // postings in KEYS / OFFSETS / SUBJECTS) is refused outright, not parsed.
+  const JemMapper mapper(subjects_, params_, SketchScheme::kJem);
+  const io::ArtifactReader current(
+      serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_),
+      kIndexArtifactMagic, kIndexArtifactVersion);
+  io::ArtifactWriter v1(kIndexArtifactMagic, 1);
+  for (const char* tag : {"PARAMS", "SUBJSET", "SHAPE"}) {
+    v1.add_section(tag, current.section(tag));
   }
-  ASSERT_FALSE(unfrozen.frozen());
-  EXPECT_THROW((void)serialize_index(unfrozen, params_, SketchScheme::kJem,
-                                     subjects_),
-               std::logic_error);
+  for (const char* tag : {"KEYS", "OFFSETS", "SUBJECTS"}) {
+    v1.add_section(tag, std::string_view());
+  }
+  for (const char* tag : {"FLATGEO", "FLATSLOT", "FLATSUB"}) {
+    v1.add_section(tag, current.section(tag));
+  }
+  EXPECT_EQ(reason_of([&] {
+              (void)deserialize_index(v1.serialize(), params_,
+                                      SketchScheme::kJem, subjects_);
+            }),
+            io::ArtifactReason::kBadVersion);
 }
 
 TEST_F(IndexSerdeTest, MissingFileIsOpenFailed) {
@@ -240,7 +251,7 @@ TEST_F(IndexSerdeTest, BitRotInEverySectionIsAChecksumMismatch) {
       serialize_index(mapper.table(), params_, SketchScheme::kJem, subjects_);
 
   const std::vector<SectionLoc> sections = locate_sections(bytes);
-  EXPECT_EQ(sections.size(), 9u);  // PARAMS..FLATSUB, the documented layout
+  EXPECT_EQ(sections.size(), 6u);  // PARAMS..FLATSUB, the documented layout
   for (const SectionLoc& loc : sections) {
     if (loc.size == 0) continue;
     std::string corrupt = bytes;
@@ -267,54 +278,44 @@ TEST_F(IndexSerdeTest, ChecksummedButInconsistentSectionsAreBadSections) {
     throw std::logic_error("section not found");
   };
 
-  {
-    // SHAPE totals no longer match its per-trial counts.
-    std::string tampered = bytes;
-    const SectionLoc& shape = find("SHAPE");
-    std::uint64_t total = 0;
-    std::memcpy(&total, tampered.data() + shape.payload, sizeof(total));
-    ++total;
-    std::memcpy(tampered.data() + shape.payload, &total, sizeof(total));
-    fix_checksum(tampered, shape);
+  const auto expect_bad_section = [&](const std::string& tampered,
+                                      const char* what) {
     EXPECT_EQ(reason_of([&] {
                 (void)deserialize_index(tampered, params_, SketchScheme::kJem,
                                         subjects_);
               }),
-              io::ArtifactReason::kBadSection);
-  }
-  {
-    // KEYS sorted order violated (valid framing, invalid CSR content).
+              io::ArtifactReason::kBadSection)
+        << what;
+  };
+  const auto bump_u64 = [&](const char* tag, std::size_t index) {
     std::string tampered = bytes;
-    const SectionLoc& keys = find("KEYS");
-    ASSERT_GE(keys.size, 16u);
-    char tmp[8];
-    std::memcpy(tmp, tampered.data() + keys.payload, 8);
-    std::memcpy(tampered.data() + keys.payload,
-                tampered.data() + keys.payload + 8, 8);
-    std::memcpy(tampered.data() + keys.payload + 8, tmp, 8);
-    fix_checksum(tampered, keys);
-    EXPECT_EQ(reason_of([&] {
-                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
-                                        subjects_);
-              }),
-              io::ArtifactReason::kBadSection);
-  }
+    const SectionLoc& loc = find(tag);
+    std::uint64_t value = 0;
+    const std::size_t at = loc.payload + index * sizeof(value);
+    std::memcpy(&value, tampered.data() + at, sizeof(value));
+    ++value;
+    std::memcpy(tampered.data() + at, &value, sizeof(value));
+    fix_checksum(tampered, loc);
+    return tampered;
+  };
+
+  // SHAPE totals no longer match the flat parts.
+  expect_bad_section(bump_u64("SHAPE", 0), "SHAPE entry total");
+  expect_bad_section(bump_u64("SHAPE", 1), "SHAPE key total");
+  // FLATGEO regions no longer contiguous (trial 1's base moved).
+  expect_bad_section(bump_u64("FLATGEO", 2), "FLATGEO base");
   {
-    // KEYS payload not a multiple of the element size.
+    // FLATSLOT payload not a multiple of the slot size.
     std::string tampered = bytes;
-    const SectionLoc& keys = find("KEYS");
-    tampered.erase(keys.payload, 3);
-    std::uint64_t new_size = keys.size - 3;
-    std::memcpy(tampered.data() + keys.header + 8, &new_size,
+    const SectionLoc& slots = find("FLATSLOT");
+    tampered.erase(slots.payload, 3);
+    std::uint64_t new_size = slots.size - 3;
+    std::memcpy(tampered.data() + slots.header + 8, &new_size,
                 sizeof(new_size));
-    SectionLoc shrunk = keys;
+    SectionLoc shrunk = slots;
     shrunk.size = static_cast<std::size_t>(new_size);
     fix_checksum(tampered, shrunk);
-    EXPECT_EQ(reason_of([&] {
-                (void)deserialize_index(tampered, params_, SketchScheme::kJem,
-                                        subjects_);
-              }),
-              io::ArtifactReason::kBadSection);
+    expect_bad_section(tampered, "FLATSLOT size");
   }
 }
 

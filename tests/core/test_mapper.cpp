@@ -5,13 +5,8 @@
 #include <string>
 
 #include "core/dna.hpp"
+#include "core/engine.hpp"
 #include "util/prng.hpp"
-
-// Deprecation-window coverage: the legacy map_reads_* entrypoints must stay
-// bit-identical to the sequential mapper until they are removed, so these
-// tests keep calling them on purpose. New code routes through
-// core::MappingEngine (docs/engine.md).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace jem::core {
 namespace {
@@ -130,8 +125,11 @@ TEST_F(MapperTest, ParallelMatchesSequential) {
     reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
   }
   const auto sequential = mapper.map_reads(reads);
-  util::ThreadPool pool(4);
-  auto parallel = mapper.map_reads_parallel(reads, pool);
+  const MappingEngine engine(subjects_, params_);
+  MapRequest request;
+  request.backend = MapBackend::kPool;
+  request.threads = 4;
+  const auto parallel = engine.run(reads, request).mappings;
 
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
@@ -188,7 +186,7 @@ TEST_F(MapperTest, AdoptedTableMatchesBuiltTable) {
 }
 
 TEST_F(MapperTest, AdoptedTableRejectsTrialMismatch) {
-  SketchTable table(params_.trials + 1);
+  SketchTable table = SketchTable::from_entries(params_.trials + 1, {});
   EXPECT_THROW(
       JemMapper(subjects_, params_, SketchScheme::kJem, std::move(table)),
       std::invalid_argument);
@@ -260,7 +258,7 @@ TEST_F(MapperTest, MapReadsTopXCoversAllSegments) {
   io::SequenceSet reads;
   reads.add("r0", genome_.substr(3'000, 8'000));
   reads.add("r1", genome_.substr(30'000, 900));
-  const auto topx = mapper.map_reads_topx(reads, 3);
+  const auto topx = mapper.map_reads_topx(reads, 3, 0, 2);
   ASSERT_EQ(topx.size(), 3u);  // two ends + one short-read prefix
   EXPECT_EQ(topx[0].end, ReadEnd::kPrefix);
   EXPECT_EQ(topx[1].end, ReadEnd::kSuffix);
@@ -292,7 +290,10 @@ TEST_F(MapperTest, OpenmpMatchesSequential) {
     reads.add("read_" + std::to_string(i), genome_.substr(pos, 5000));
   }
   const auto sequential = mapper.map_reads(reads);
-  const auto parallel = mapper.map_reads_openmp(reads);
+  const MappingEngine engine(subjects_, params_);
+  MapRequest request;
+  request.backend = MapBackend::kOpenMP;
+  const auto parallel = engine.run(reads, request).mappings;
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(sequential[i].read, parallel[i].read);
@@ -306,7 +307,7 @@ TEST_F(MapperTest, TiledMappingCoversInteriorSegments) {
   const JemMapper mapper(subjects_, params_);
   io::SequenceSet reads;
   reads.add("long_read", genome_.substr(2'000, 10'000));  // 10 tiles
-  const auto tiled = mapper.map_reads_tiled(reads);
+  const auto tiled = mapper.map_reads_tiled(reads, 0, 1);
   ASSERT_EQ(tiled.size(), 10u);
   EXPECT_EQ(tiled.front().end, ReadEnd::kPrefix);
   EXPECT_EQ(tiled.back().end, ReadEnd::kSuffix);
@@ -393,21 +394,26 @@ TEST_F(MapperTest, TopXReusesScratchAcrossCalls) {
 }
 
 TEST_F(MapperTest, AdoptedTableIsFrozenForTheHotPath) {
-  // The table-adopting constructor must freeze a mutable table so the
-  // flat index exists; results agree with the self-sketching constructor.
-  // (sketch_subjects returns a frozen table, so insert() builds this one.)
+  // A table adopted as-is (built here from per-subject sketches, in reverse
+  // subject order) serves the hot path with no further step, and results
+  // agree with the self-sketching constructor.
   const HashFamily hashes(params_.trials, params_.seed);
-  SketchTable table(params_.trials);
-  for (io::SeqId id = 0; id < subjects_.size(); ++id) {
-    table.insert(
-        make_sketch(subjects_.bases(id), params_, SketchScheme::kJem, hashes),
-        id);
+  std::vector<SketchEntry> entries;
+  for (io::SeqId id = static_cast<io::SeqId>(subjects_.size()); id-- > 0;) {
+    const Sketch sketch =
+        make_sketch(subjects_.bases(id), params_, SketchScheme::kJem, hashes);
+    for (std::uint32_t t = 0; t < sketch.per_trial.size(); ++t) {
+      for (const KmerCode kmer : sketch.per_trial[t]) {
+        entries.push_back({kmer, t, id});
+      }
+    }
   }
-  EXPECT_FALSE(table.frozen());
-  const JemMapper adopted(subjects_, params_, SketchScheme::kJem,
-                          std::move(table));
-  EXPECT_TRUE(adopted.table().frozen());
+  const JemMapper adopted(
+      subjects_, params_, SketchScheme::kJem,
+      SketchTable::from_entries(params_.trials, entries));
   const JemMapper fresh(subjects_, params_);
+  EXPECT_EQ(adopted.table().flat().key_count(),
+            fresh.table().flat().key_count());
   const std::string segment = genome_.substr(20'500, 1000);
   EXPECT_EQ(adopted.map_segment(segment), fresh.map_segment(segment));
 }

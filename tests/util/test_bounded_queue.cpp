@@ -42,6 +42,23 @@ TEST(BoundedQueueTest, CapacityZeroClampsToOne) {
   EXPECT_EQ(queue.pop(), 7);
 }
 
+TEST(BoundedQueueTest, SubMillisecondTimedWaitsAreHonoured) {
+  // A 500 us timeout must wait ~500 us, not truncate to a 0 ms poll: the
+  // serve batcher's 200 us coalescing window depends on it.
+  using Clock = std::chrono::steady_clock;
+  BoundedQueue<int> queue(1);
+  int out = 0;
+  auto start = Clock::now();
+  EXPECT_EQ(queue.pop_wait_for(out, 500us), QueueOpResult::kTimeout);
+  EXPECT_GE(Clock::now() - start, 500us);
+
+  int value = 1;
+  ASSERT_TRUE(queue.push(0));  // full
+  start = Clock::now();
+  EXPECT_EQ(queue.push_wait_for(value, 500us), QueueOpResult::kTimeout);
+  EXPECT_GE(Clock::now() - start, 500us);
+}
+
 TEST(BoundedQueueTest, ProducerBlocksWhenFullAndResumesAfterPop) {
   BoundedQueue<int> queue(2);
   std::atomic<int> pushed{0};
