@@ -8,11 +8,9 @@
 // BENCH_serve.json.
 //
 //   bench_serve [--requests 200] [--clients 4] [--workers 4]
-//               [--max-batch 16] [--batch-window-us 200] [--cache 1024]
-//               [--seed N] [--out BENCH_serve.json]
+//               [--cache 1024] [--seed N] [--out BENCH_serve.json]
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -45,8 +43,6 @@ int main(int argc, const char** argv) {
   std::uint64_t requests = 200;
   std::uint64_t clients = 4;
   std::uint64_t workers = 4;
-  std::uint64_t max_batch = 16;
-  std::uint64_t batch_window_us = 200;
   std::uint64_t cache = 1024;
   std::uint64_t seed = 20230517;
   std::string out_path;
@@ -55,9 +51,6 @@ int main(int argc, const char** argv) {
   options.add_uint("requests", requests, "total /map requests (default 200)");
   options.add_uint("clients", clients, "concurrent client threads (default 4)");
   options.add_uint("workers", workers, "server worker threads (default 4)");
-  options.add_uint("max-batch", max_batch, "micro-batch cap (default 16)");
-  options.add_uint("batch-window-us", batch_window_us,
-                   "micro-batch window in µs (default 200)");
   options.add_uint("cache", cache, "LRU cache entries, 0 disables");
   options.add_uint("seed", seed, "demo dataset seed");
   options.add_string("out", out_path, "write a JSON summary here");
@@ -81,8 +74,6 @@ int main(int argc, const char** argv) {
   serve::ServerConfig server_config;
   server_config.port = 0;
   server_config.workers = workers;
-  server_config.max_batch = max_batch;
-  server_config.batch_window = std::chrono::microseconds(batch_window_us);
   server_config.cache_capacity = cache;
   serve::MappingServer server(service, server_config);
   server.start();
@@ -140,7 +131,6 @@ int main(int argc, const char** argv) {
     const auto* entry = snapshot.find(name);
     return entry != nullptr ? entry->value : 0;
   };
-  const std::uint64_t batches = metric("serve.batches");
   const std::uint64_t cache_hits = metric("serve.cache.hits");
   const std::uint64_t shed = metric("serve.http.shed");
 
@@ -149,8 +139,7 @@ int main(int argc, const char** argv) {
             << " s)\n"
             << "  p50 " << p50 << " ms, p99 " << p99 << " ms, "
             << throughput << " req/s\n"
-            << "  " << batches << " micro-batches, " << cache_hits
-            << " cache hits, " << shed << " shed, " << failures.load()
+            << "  " << cache_hits << " cache hits, " << shed << " shed, " << failures.load()
             << " failures\n";
 
   if (!out_path.empty()) {
@@ -160,13 +149,11 @@ int main(int argc, const char** argv) {
         << "  \"requests\": " << requests << ",\n"
         << "  \"clients\": " << nclients << ",\n"
         << "  \"workers\": " << workers << ",\n"
-        << "  \"max_batch\": " << max_batch << ",\n"
         << "  \"subjects\": " << num_subjects << ",\n"
         << "  \"index_s\": " << index_s << ",\n"
         << "  \"p50_ms\": " << p50 << ",\n"
         << "  \"p99_ms\": " << p99 << ",\n"
         << "  \"throughput_rps\": " << throughput << ",\n"
-        << "  \"micro_batches\": " << batches << ",\n"
         << "  \"cache_hits\": " << cache_hits << ",\n"
         << "  \"shed\": " << shed << ",\n"
         << "  \"failures\": " << failures.load() << "\n"

@@ -2,7 +2,7 @@
 # Measures the always-on mapping service (docs/serve.md): request latency
 # percentiles and throughput of a live MappingServer under concurrent load,
 # via bench/bench_serve. Writes a summary JSON (default: BENCH_serve.json at
-# the repo root) with p50/p99 latency and req/s.
+# the repo root) with p50/p99 latency, req/s and the host it ran on.
 #
 # Usage: scripts/bench_serve.sh [output.json]
 #   JEM_BENCH_SERVE_REQUESTS total requests       (default 2000)
@@ -63,10 +63,49 @@ wait "$SERVE_PID"
 # prefix and the outer brace to keep just the windowed object.
 SLO=$(sed -e 's/.*"slo"://' -e 's/}$//' "$DIR/healthz.json")
 
+# The host block scripts/bench_hotpath.sh writes (CPU count and model,
+# compiler, git SHA), so serve numbers are compared on one recorded host.
+HOST=$(python3 - <<'PY'
+import json, os, re, subprocess
+
+def run(*cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+model = "unknown"
+try:
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+except OSError:
+    pass
+cxx = "c++"
+try:
+    with open("build-bench/CMakeCache.txt") as f:
+        m = re.search(r"^CMAKE_CXX_COMPILER:\w+=(.+)$", f.read(), re.M)
+        if m:
+            cxx = m.group(1)
+except OSError:
+    pass
+sha = run("git", "rev-parse", "HEAD")
+if run("git", "status", "--porcelain", "--untracked-files=no") not in ("", "unknown"):
+    sha += "-dirty"
+print(json.dumps({"cpus": os.cpu_count(), "cpu_model": model,
+                  "compiler": run(cxx, "--version").splitlines()[0],
+                  "git_sha": sha}))
+PY
+)
+
 # Splice the curve into the summary (no jq in the image: drop the closing
 # brace, append the new key, close again).
 {
   sed '$d' "$OUT"
+  printf '  ,"host": %s\n' "$HOST"
   printf '  ,"load_curve": '
   cat "$DIR/curve.json"
   printf '  ,"slo_window": %s\n' "$SLO"
@@ -74,4 +113,4 @@ SLO=$(sed -e 's/.*"slo"://' -e 's/}$//' "$DIR/healthz.json")
 } > "$OUT.tmp"
 mv "$OUT.tmp" "$OUT"
 
-echo "bench_serve: wrote $OUT (with load_curve and slo_window)"
+echo "bench_serve: wrote $OUT (with host, load_curve and slo_window)"

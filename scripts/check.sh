@@ -90,7 +90,7 @@ echo "metrics smoke: ok"
 # ephemeral port, hammer it with concurrent clients via `jem probe`,
 # validate the /metrics body with obs_check, then require a clean SIGTERM
 # drain (exit 0). Runs against the Release build and again under
-# ASan/UBSan, where lifetime bugs in the connection/batcher shutdown
+# ASan/UBSan, where lifetime bugs in the connection/worker shutdown
 # ordering would surface.
 serve_smoke() {
   local bindir="$1"
@@ -134,11 +134,12 @@ echo "serve smoke: ok"
 
 # Serve chaos smoke (docs/serve.md "Failure modes & recovery"): the same
 # demo server, now running a seeded fault plan — random connection resets
-# and injected latency plus a scripted batcher abort and worker abort — with
-# a hot-swap artifact armed. `jem probe` drives it through the resilient
-# client and fires POST /admin/reload mid-load; every request must still
-# complete, the supervisor must have respawned both aborted threads, the
-# epoch must have advanced, and the drain must stay clean. Runs against
+# and injected latency plus two scripted worker aborts (one about to map,
+# one reading a request) — with a hot-swap artifact armed. `jem probe`
+# drives it through the resilient client and fires POST /admin/reload
+# mid-load; every request must still complete, the supervisor must have
+# respawned both aborted workers, the epoch must have advanced, and the
+# drain must stay clean. Runs against
 # Release and again under ASan/UBSan.
 serve_chaos_smoke() {
   local bindir="$1"
@@ -147,7 +148,7 @@ serve_chaos_smoke() {
   "$bindir/examples/jem" build-index --demo --output "$dir/demo.jemidx"
   "$bindir/examples/jem" serve --demo --port 0 --port-file "$dir/port" \
     --cache 0 --chaos-seed 7 --chaos-delay 0.05 --chaos-drop 0.08 \
-    --chaos-abort-at serve.batch:4,serve.read:11 \
+    --chaos-abort-at serve.map:4,serve.read:11 \
     --reload-index "$dir/demo.jemidx" &
   local serve_pid=$!
   for _ in $(seq 1 200); do
@@ -169,8 +170,7 @@ serve_chaos_smoke() {
   grep -q 'serve.reload.success' "$dir/metrics.json"
   grep -q '"status":"ok"' "$dir/healthz.json"
   grep -q '"epoch":1' "$dir/healthz.json"
-  grep -Eq '"worker_restarts":[1-9]' "$dir/healthz.json"
-  grep -Eq '"batcher_restarts":[1-9]' "$dir/healthz.json"
+  grep -Eq '"worker_restarts":[2-9]' "$dir/healthz.json"
   kill -TERM "$serve_pid"
   wait "$serve_pid"
   rm -rf "$dir"

@@ -253,30 +253,6 @@ MapServiceResponse MappingService::map(
   if (!deadline && request.deadline.count() > 0) {
     deadline = Clock::now() + request.deadline;
   }
-  return map_impl(request, scratch, deadline);
-}
-
-std::vector<MapServiceResponse> MappingService::map_batch(
-    std::span<const MapServiceRequest> requests,
-    std::span<const Clock::time_point> deadlines) const {
-  if (!deadlines.empty() && deadlines.size() != requests.size()) {
-    throw ServiceError(ServiceErrorCode::kInvalidArgument, "deadlines",
-                       "deadline span must be empty or match requests");
-  }
-  std::vector<MapServiceResponse> responses;
-  responses.reserve(requests.size());
-  MapScratch scratch = make_scratch();  // warm across the whole batch
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    std::optional<Clock::time_point> deadline;
-    if (!deadlines.empty()) deadline = deadlines[i];
-    responses.push_back(map_impl(requests[i], scratch, deadline));
-  }
-  return responses;
-}
-
-MapServiceResponse MappingService::map_impl(
-    const MapServiceRequest& request, MapScratch& scratch,
-    std::optional<Clock::time_point> deadline) const {
   request.validate(config_.params);
 
   MapServiceResponse response;

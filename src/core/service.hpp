@@ -17,22 +17,20 @@
 //    as an expired deadline, so a server can keep serving.
 //  * MappingService — owns the subject set and the MappingEngine, loads a
 //    JEMIDX index artifact when one is offered (core::index_serde, with the
-//    same reject-and-rebuild fallback jem_map uses), and maps single
-//    requests or coalesced micro-batches. Batch results are bit-identical
-//    to single-shot JemMapper::map_segment output (golden-tested) — the
-//    micro-batcher in src/serve/ depends on that.
+//    same reject-and-rebuild fallback jem_map uses), and maps requests one
+//    at a time. Results are bit-identical to single-shot
+//    JemMapper::map_segment output (golden-tested).
 //
 // Thread model: map() is const and thread-safe given a per-thread
-// MapScratch, exactly like JemMapper::map_segment. map_batch() reuses one
-// warm scratch across the batch — the same amortization the engine's batch
-// kernels perform.
+// MapScratch, exactly like JemMapper::map_segment. A scratch reused across
+// requests stays warm and gives the same answers as a fresh one — the
+// serve layer's workers each keep one for that reason.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -259,20 +257,7 @@ class MappingService {
       const MapServiceRequest& request, MapScratch& scratch,
       std::optional<Clock::time_point> deadline = std::nullopt) const;
 
-  /// Maps a coalesced micro-batch with one warm scratch (the serve layer's
-  /// batcher calls this with every request in flight). `deadlines` is
-  /// either empty (none) or exactly requests.size() absolute expiries;
-  /// expired entries get a kDeadlineExceeded response, and every other
-  /// response is bit-identical to a single-shot map() of that request.
-  [[nodiscard]] std::vector<MapServiceResponse> map_batch(
-      std::span<const MapServiceRequest> requests,
-      std::span<const Clock::time_point> deadlines = {}) const;
-
  private:
-  MapServiceResponse map_impl(const MapServiceRequest& request,
-                              MapScratch& scratch,
-                              std::optional<Clock::time_point> deadline) const;
-
   std::unique_ptr<io::SequenceSet> subjects_;  // stable across moves
   ServiceConfig config_;
   std::unique_ptr<MappingEngine> engine_;  // set in every constructor

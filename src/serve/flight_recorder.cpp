@@ -83,8 +83,6 @@ std::string FlightRecorder::to_json(const FlightFilter& filter) const {
     append_u64(out, static_cast<std::uint64_t>(r.status));
     out += ",\"cache_hit\":";
     out += r.cache_hit ? "true" : "false";
-    out += ",\"batch\":";
-    append_u64(out, r.batch);
     out += ",\"queue_wait_ns\":";
     append_u64(out, r.queue_wait_ns);
     out += ",\"map_ns\":";
@@ -113,12 +111,12 @@ std::string FlightRecorder::to_text(std::size_t limit) const {
   for (const FlightRecord& r : records) {
     char line[256];
     std::snprintf(line, sizeof line,
-                  "  #%-6" PRIu64 " %s-%s %-16s %3d %s batch=%" PRIu64
-                  " wait=%" PRIu64 "us map=%" PRIu64 "us ser=%" PRIu64
-                  "us total=%" PRIu64 "us%s%s\n",
+                  "  #%-6" PRIu64 " %s-%s %-16s %3d %s wait=%" PRIu64
+                  "us map=%" PRIu64 "us ser=%" PRIu64 "us total=%" PRIu64
+                  "us%s%s\n",
                   r.seq, r.trace_id.c_str(), r.request_id.c_str(),
                   r.endpoint.c_str(), r.status, r.cache_hit ? "hit " : "miss",
-                  r.batch, r.queue_wait_ns / 1000, r.map_ns / 1000,
+                  r.queue_wait_ns / 1000, r.map_ns / 1000,
                   r.serialize_ns / 1000, r.total_ns / 1000,
                   r.annotation.empty() ? "" : " ",
                   r.annotation.c_str());

@@ -27,9 +27,8 @@ struct FlightRecord {
   std::string endpoint;         ///< Request path, e.g. "/map".
   int status = 0;               ///< HTTP status served.
   bool cache_hit = false;       ///< /map answered from the LRU.
-  std::uint64_t batch = 0;      ///< Micro-batch id (0 = not batched).
-  std::uint64_t queue_wait_ns = 0;  ///< Admission -> batcher pop.
-  std::uint64_t map_ns = 0;         ///< map_batch wall time of its batch.
+  std::uint64_t queue_wait_ns = 0;  ///< accept() -> worker pickup.
+  std::uint64_t map_ns = 0;         ///< MappingService::map wall time.
   std::uint64_t serialize_ns = 0;   ///< Response-body construction.
   std::uint64_t total_ns = 0;       ///< handle() entry to exit.
   std::string annotation;  ///< Shed/fault/deadline note; empty = clean.

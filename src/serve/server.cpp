@@ -160,7 +160,6 @@ MappingServer::MappingServer(
       win_errors_(config_.slo_frame, kSloFrames),
       win_shed_(config_.slo_frame, kSloFrames) {
   if (config_.workers == 0) config_.workers = 1;
-  if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.flight_recorder_size > 0) {
     flight_ = std::make_unique<FlightRecorder>(config_.flight_recorder_size);
   }
@@ -183,7 +182,6 @@ MappingServer::MappingServer(
   cache_hits_ = &registry_->counter("serve.cache.hits");
   cache_misses_ = &registry_->counter("serve.cache.misses");
   cache_evictions_ = &registry_->counter("serve.cache.evictions");
-  batches_total_ = &registry_->counter("serve.batches");
   rejected_head_ = &registry_->counter("serve.http.rejected.head");
   rejected_body_ = &registry_->counter("serve.http.rejected.body");
   rejected_malformed_ = &registry_->counter("serve.http.rejected.malformed");
@@ -193,13 +191,11 @@ MappingServer::MappingServer(
   chaos_abort_ = &registry_->counter("serve.chaos.injected.abort");
   chaos_cache_bypass_ =
       &registry_->counter("serve.chaos.injected.cache_bypass");
-  chaos_batch_drop_ = &registry_->counter("serve.chaos.injected.batch_drop");
+  chaos_map_drop_ = &registry_->counter("serve.chaos.injected.map_drop");
   reload_success_ = &registry_->counter("serve.reload.success");
   reload_rejected_ = &registry_->counter("serve.reload.rejected");
   restarts_worker_ = &registry_->counter("serve.supervisor.worker_restarts");
-  restarts_batcher_ = &registry_->counter("serve.supervisor.batcher_restarts");
   queue_depth_ = &registry_->gauge("serve.queue.depth");
-  work_depth_ = &registry_->gauge("serve.work.depth");
   cache_size_ = &registry_->gauge("serve.cache.size");
   epoch_gauge_ = &registry_->gauge("serve.index.epoch");
   map_latency_ns_ =
@@ -208,12 +204,9 @@ MappingServer::MappingServer(
                                               obs::Unit::kNanos);
   metrics_latency_ns_ = &registry_->histogram("serve.endpoint.metrics.latency_ns",
                                               obs::Unit::kNanos);
-  batch_size_ = &registry_->histogram("serve.batch.size");
 
   conn_queue_ =
-      std::make_unique<util::BoundedQueue<int>>(config_.queue_capacity);
-  work_queue_ =
-      std::make_unique<util::BoundedQueue<PendingMap>>(config_.work_capacity);
+      std::make_unique<util::BoundedQueue<Admission>>(config_.queue_capacity);
   if (config_.cache_capacity > 0) {
     cache_ = std::make_unique<LruCache<std::string, MapServiceResponse>>(
         config_.cache_capacity);
@@ -222,10 +215,9 @@ MappingServer::MappingServer(
 
 MappingServer::~MappingServer() { stop(); }
 
-std::shared_ptr<const core::MappingService> MappingServer::current_service()
-    const {
+MappingServer::Serving MappingServer::serving() const {
   std::lock_guard lock(service_mutex_);
-  return service_;
+  return {service_, epoch_.load(std::memory_order_relaxed)};
 }
 
 void MappingServer::start() {
@@ -277,7 +269,6 @@ void MappingServer::start() {
     workers_active_ = config_.workers;
     dead_.clear();
   }
-  batcher_ = std::thread([this] { batcher_main(); });
   workers_.clear();
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -301,25 +292,19 @@ void MappingServer::stop() {
 
   // 2. Drain admitted connections: close() releases blocked workers while
   //    keeping queued items poppable, so every accepted request is served.
-  //    The supervisor stays armed through the drain — a worker or batcher
-  //    that aborts mid-drain is still respawned, so no worker ever waits on
-  //    a future nobody will fulfil.
+  //    The supervisor stays armed through the drain — a worker that aborts
+  //    mid-drain is still respawned, so the queue always empties.
   conn_queue_->close();
   {
     std::unique_lock lock(lifecycle_mutex_);
     drained_cv_.wait(lock, [this] {
-      if (workers_active_ != 0 || respawn_in_flight_ != 0) return false;
-      for (const std::size_t slot : dead_) {
-        if (slot != kBatcherSlot) return false;
-      }
-      return true;
+      return workers_active_ == 0 && respawn_in_flight_ == 0 && dead_.empty();
     });
     respawn_enabled_ = false;
   }
 
   // 3. Every worker has exited; join the thread objects. Moved out under
-  //    the lock so the supervisor (still alive, maybe joining a dead
-  //    batcher) never races the vector.
+  //    the lock so the (still alive) supervisor never races the vector.
   std::vector<std::thread> finished;
   {
     std::lock_guard lock(lifecycle_mutex_);
@@ -329,31 +314,13 @@ void MappingServer::stop() {
     if (worker.joinable()) worker.join();
   }
 
-  // 4. Retire the supervisor; it drains any leftover dead_ joins first.
+  // 4. Retire the supervisor.
   {
     std::lock_guard lock(lifecycle_mutex_);
     supervising_ = false;
   }
   death_cv_.notify_all();
   if (supervisor_.joinable()) supervisor_.join();
-
-  // 5. Drain the map work queue last — workers may have been waiting on
-  //    batcher results until the moment they exited.
-  work_queue_->close();
-  std::thread batcher;
-  {
-    std::lock_guard lock(lifecycle_mutex_);
-    batcher = std::move(batcher_);
-  }
-  if (batcher.joinable()) batcher.join();
-
-  // 6. Anything still queued belonged to a batcher that died un-respawned
-  //    after its waiters left. Nobody holds the futures; drop the items so
-  //    the queue destructs empty.
-  PendingMap leftover;
-  while (work_queue_->pop_wait_for(leftover, std::chrono::milliseconds(0)) ==
-         util::QueueOpResult::kSuccess) {
-  }
 }
 
 void MappingServer::acceptor_loop() {
@@ -365,6 +332,12 @@ void MappingServer::acceptor_loop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // The admission stamp: the request's deadline and queue wait run from
+    // here, so injected accept latency and queueing count against both.
+    Admission conn;
+    conn.fd = fd;
+    conn.at = Clock::now();
+    if (config_.tracer != nullptr) conn.trace_ns = config_.tracer->now_ns();
     set_socket_timeouts(fd, config_.io_timeout);
 
     // serve.accept: delay stalls the admission, drop/abort resets the new
@@ -385,7 +358,6 @@ void MappingServer::acceptor_loop() {
     // Admission control: try-push (zero wait). A full queue sheds the
     // connection right here with 503 + Retry-After — the listener never
     // blocks behind slow workers.
-    int conn = fd;
     const util::QueueOpResult admitted =
         conn_queue_->push_wait_for(conn, std::chrono::milliseconds(0));
     if (admitted == util::QueueOpResult::kSuccess) {
@@ -410,7 +382,7 @@ void MappingServer::note_death(std::size_t slot) {
   {
     std::lock_guard lock(lifecycle_mutex_);
     dead_.push_back(slot);
-    if (slot != kBatcherSlot && workers_active_ > 0) --workers_active_;
+    if (workers_active_ > 0) --workers_active_;
   }
   death_cv_.notify_all();
   drained_cv_.notify_all();
@@ -442,15 +414,19 @@ void MappingServer::worker_main(std::size_t slot) {
 }
 
 void MappingServer::worker_loop() {
+  WorkerScratch scratch;  // this worker's, warm across its requests
   while (true) {
-    std::optional<int> fd = conn_queue_->pop();
-    if (!fd) return;  // closed and drained
+    std::optional<Admission> conn = conn_queue_->pop();
+    if (!conn) return;  // closed and drained
+    conn->queue_wait_ns = elapsed_ns(conn->at);
     queue_depth_->set(static_cast<std::int64_t>(conn_queue_->size()));
-    serve_connection(*fd);
+    serve_connection(*conn, scratch);
   }
 }
 
-void MappingServer::serve_connection(int fd) {
+void MappingServer::serve_connection(const Admission& conn,
+                                     WorkerScratch& scratch) {
+  const int fd = conn.fd;
   // serve.read: one decision per connection (not per recv) so a seeded
   // plan's invocation numbering is independent of TCP segmentation. Delay
   // stalls the read, drop resets the peer, abort kills this worker after
@@ -501,7 +477,7 @@ void MappingServer::serve_connection(int fd) {
                                parsed.error);
   } else {
     try {
-      response = handle(parsed.request);
+      response = route(parsed.request, conn, &scratch);
     } catch (const util::FaultAbort&) {
       // Crash containment: the in-flight request is answered with a
       // structured 500 before this worker dies — never a hung client.
@@ -548,6 +524,14 @@ void MappingServer::serve_connection(int fd) {
 }
 
 HttpResponse MappingServer::handle(const HttpRequest& request) {
+  Admission now;
+  now.at = Clock::now();
+  return route(request, now, nullptr);
+}
+
+HttpResponse MappingServer::route(const HttpRequest& request,
+                                  const Admission& admission,
+                                  WorkerScratch* scratch) {
   requests_total_->add();
 
   // Trace stamping: honor a forwarded W3C traceparent (the client's span
@@ -556,6 +540,8 @@ HttpResponse MappingServer::handle(const HttpRequest& request) {
   // span, flight record, error body and the x-jem-request-id echo.
   RequestContext ctx;
   ctx.start = Clock::now();
+  ctx.admitted = admission.at;
+  ctx.scratch = scratch;
   if (const std::string* parent = request.header("traceparent")) {
     if (const auto parsed = obs::parse_traceparent(*parent)) {
       ctx.trace = obs::child_of(*parsed);
@@ -565,6 +551,15 @@ HttpResponse MappingServer::handle(const HttpRequest& request) {
   ctx.record.trace_id = ctx.trace.trace_id;
   ctx.record.request_id = ctx.trace.span_id;
   ctx.record.endpoint = request.path;
+  ctx.record.queue_wait_ns = admission.queue_wait_ns;
+
+  // The admission-queue wait, from accept() to worker pickup, is known only
+  // now that the request (and its trace id) has been read.
+  if (config_.tracer != nullptr && admission.trace_ns > 0) {
+    config_.tracer->record("serve.queue.wait[" + ctx.trace.trace_id + "]",
+                           kRequestTrack, admission.trace_ns,
+                           admission.queue_wait_ns);
+  }
 
   std::optional<obs::Span> span;
   if (config_.tracer != nullptr) {
@@ -643,17 +638,12 @@ HttpResponse MappingServer::handle(const HttpRequest& request) {
   ctx.record.status = response.status;
   ctx.record.total_ns = total_ns;
 
-  // Windowed SLO tallies cover the mapping workload: /map latency, errors
-  // (5xx other than sheds) and sheds. Acceptor-level sheds are added in
-  // acceptor_loop — they never reach handle().
+  // Windowed SLO tallies cover the mapping workload: /map latency and 5xx
+  // errors. Sheds happen in acceptor_loop — they never reach here.
   if (request.path == "/map") {
     win_latency_.record(total_ns);
     win_requests_.add(1);
-    if (response.status == 503) {
-      win_shed_.add(1);
-    } else if (response.status >= 500) {
-      win_errors_.add(1);
-    }
+    if (response.status >= 500) win_errors_.add(1);
   }
 
   if (flight_) flight_->push(ctx.record);
@@ -679,7 +669,7 @@ HttpResponse MappingServer::handle(const HttpRequest& request) {
                      << " queue_wait_us=" << ctx.record.queue_wait_ns / 1000
                      << " map_us=" << ctx.record.map_ns / 1000
                      << " serialize_us=" << ctx.record.serialize_ns / 1000
-                     << " batch=" << ctx.record.batch << (ctx.record.annotation.empty() ? "" : " note=")
+                     << (ctx.record.annotation.empty() ? "" : " note=")
                      << ctx.record.annotation;
   }
   return response;
@@ -709,8 +699,8 @@ HttpResponse MappingServer::handle_map(const HttpRequest& request,
 
   // Snapshot the serving epoch once: this request runs start-to-finish on
   // the index it admitted against, even if a reload lands mid-flight.
-  const std::shared_ptr<const core::MappingService> service =
-      current_service();
+  const Serving serving = this->serving();
+  const core::MappingService& service = *serving.service;
 
   // Assemble the service request: body = bases, knobs via query string.
   MapServiceRequest service_request;
@@ -749,7 +739,7 @@ HttpResponse MappingServer::handle_map(const HttpRequest& request,
     budget = std::chrono::milliseconds(value);
   }
   try {
-    service_request.validate(service->config().params);
+    service_request.validate(service.config().params);
   } catch (const ServiceError& error) {
     response.status = 400;
     response.body = error_body(error.code(), error.field(), error.what());
@@ -800,40 +790,53 @@ HttpResponse MappingServer::handle_map(const HttpRequest& request,
     cache_misses_->add();
   }
 
-  // Submit to the micro-batcher. The work queue is the second bounded
-  // stage: full means the mappers are saturated — shed rather than stall.
-  PendingMap pending;
-  pending.request = std::move(service_request);
-  if (budget.count() > 0) pending.deadline = start + budget;
-  pending.enqueued = Clock::now();
-  pending.trace_id = ctx.trace.trace_id;
-  if (config_.tracer != nullptr) {
-    pending.enqueue_trace_ns = config_.tracer->now_ns();
+  // serve.map: one decision per request, right before the kernel. Delay
+  // stalls the request, drop answers it with a structured 500 (clients
+  // retry), abort kills this worker (contained in serve_connection).
+  if (injector_.active()) {
+    const FaultDecision fault = injector_.next("serve.map");
+    if (fault.action == FaultAction::kDelay) {
+      chaos_delay_->add();
+      std::this_thread::sleep_for(fault.delay);
+    } else if (fault.action == FaultAction::kDrop) {
+      chaos_map_drop_->add();
+      ctx.record.annotation =
+          core::service_error_name(ServiceErrorCode::kInternal);
+      response.status = 500;
+      response.body = error_body(ServiceErrorCode::kInternal, "",
+                                 "request dropped by fault injection");
+      return finish(std::move(response));
+    } else if (fault.action == FaultAction::kAbort) {
+      chaos_abort_->add();
+      throw util::FaultAbort(injector_.rank(), "serve.map");
+    }
   }
-  std::future<BatchedResult> future = pending.promise.get_future();
-  const util::QueueOpResult pushed = work_queue_->push_wait_for(
-      pending, std::chrono::milliseconds(1));
-  if (pushed != util::QueueOpResult::kSuccess) {
-    shed_total_->add();
-    ctx.record.annotation = pushed == util::QueueOpResult::kClosed
-                                ? "shed:draining"
-                                : "shed:work-queue";
-    response.status = 503;
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(config_.retry_after_s));
-    response.body = error_body(ServiceErrorCode::kOverloaded, "",
-                               pushed == util::QueueOpResult::kClosed
-                                   ? "server is draining"
-                                   : "work queue full; retry shortly");
-    return finish(std::move(response));
-  }
-  work_depth_->set(static_cast<std::int64_t>(work_queue_->size()));
 
-  BatchedResult result = future.get();
-  ctx.record.queue_wait_ns = result.queue_wait_ns;
-  ctx.record.map_ns = result.map_ns;
-  ctx.record.batch = result.batch_id;
-  MapServiceResponse service_response = std::move(result.response);
+  // Map on this thread: with the worker's scratch, or with a one-shot one
+  // when handle() runs outside the worker pool.
+  WorkerScratch one_shot;
+  core::MapScratch& scratch =
+      (ctx.scratch != nullptr ? *ctx.scratch : one_shot).for_epoch(serving);
+  std::optional<Clock::time_point> deadline;
+  if (budget.count() > 0) deadline = ctx.admitted + budget;
+  MapServiceResponse service_response;
+  const auto map_start = Clock::now();
+  {
+    std::optional<obs::Span> span;
+    if (config_.tracer != nullptr) {
+      span.emplace(
+          config_.tracer->span("serve.map[" + ctx.trace.trace_id + "]"));
+    }
+    try {
+      service_response = service.map(service_request, scratch, deadline);
+    } catch (const std::exception& error) {
+      // A kernel throw is a bug: this request's structured 500, not a dead
+      // worker.
+      service_response.failure =
+          ServiceFailure{ServiceErrorCode::kInternal, error.what()};
+    }
+  }
+  ctx.record.map_ns = elapsed_ns(map_start);
   if (!service_response.ok()) {
     const ServiceFailure& failure = *service_response.failure;
     if (failure.code == ServiceErrorCode::kDeadlineExceeded) {
@@ -863,9 +866,7 @@ HttpResponse MappingServer::handle_map(const HttpRequest& request,
 HttpResponse MappingServer::handle_healthz() {
   const auto start = Clock::now();
   HttpResponse response;
-  const std::shared_ptr<const core::MappingService> service =
-      current_service();
-  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  const auto [service, epoch] = serving();
   const auto uptime_s = std::chrono::duration_cast<std::chrono::seconds>(
                             Clock::now() - started_at_)
                             .count();
@@ -884,8 +885,6 @@ HttpResponse MappingServer::handle_healthz() {
   body += std::to_string(reloads_.load(std::memory_order_relaxed));
   body += ",\"worker_restarts\":";
   body += std::to_string(worker_restarts_.load(std::memory_order_relaxed));
-  body += ",\"batcher_restarts\":";
-  body += std::to_string(batcher_restarts_.load(std::memory_order_relaxed));
   body += ",\"uptime_s\":";
   body += std::to_string(uptime_s);
   body += ",\"slo\":";
@@ -1086,7 +1085,7 @@ MappingServer::ReloadOutcome MappingServer::reload_index(
   std::lock_guard reload_lock(reload_mutex_);
   ReloadOutcome outcome;
   const std::shared_ptr<const core::MappingService> current =
-      current_service();
+      serving().service;
 
   // Load and validate against the RUNNING fingerprint: same params, same
   // scheme, same subject set. index_serde rejects any disagreement with a
@@ -1108,12 +1107,12 @@ MappingServer::ReloadOutcome MappingServer::reload_index(
 
   // Atomic publish: new requests snapshot the fresh epoch, in-flight ones
   // finish on the shared_ptr they already hold.
+  std::uint64_t epoch = 0;
   {
     std::lock_guard lock(service_mutex_);
     service_ = fresh;
+    epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
-  const std::uint64_t epoch =
-      epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   reloads_.fetch_add(1, std::memory_order_relaxed);
   epoch_gauge_->set(static_cast<std::int64_t>(epoch));
   reload_success_->add();
@@ -1133,173 +1132,6 @@ MappingServer::ReloadOutcome MappingServer::reload_index(
   return outcome;
 }
 
-void MappingServer::fail_batch(std::vector<PendingMap>& batch,
-                               std::string_view message) {
-  for (PendingMap& pending : batch) {
-    BatchedResult result;
-    result.response.failure =
-        ServiceFailure{ServiceErrorCode::kInternal, std::string(message)};
-    result.queue_wait_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             pending.enqueued)
-            .count());
-    pending.promise.set_value(std::move(result));
-  }
-  batch.clear();
-}
-
-void MappingServer::batcher_main() {
-  try {
-    batcher_loop();
-  } catch (const std::exception& error) {
-    std::uint64_t suppressed = 0;
-    if (batcher_died_limit_.allow(suppressed)) {
-      util::log_warn() << "serve: batcher died (restart gen "
-                       << batcher_restarts_.load(std::memory_order_relaxed)
-                       << "): " << error.what()
-                       << util::LogRateLimiter::suffix(suppressed);
-    }
-    note_death(kBatcherSlot);
-  }
-}
-
-void MappingServer::batcher_loop() {
-  std::vector<PendingMap> batch;
-  std::vector<MapServiceRequest> requests;
-  std::vector<Clock::time_point> deadlines;
-  while (true) {
-    PendingMap first;
-    const util::QueueOpResult got =
-        work_queue_->pop_wait_for(first, std::chrono::milliseconds(50));
-    if (got == util::QueueOpResult::kClosed) return;  // closed and drained
-    if (got == util::QueueOpResult::kTimeout) continue;
-
-    batch.clear();
-    batch.push_back(std::move(first));
-
-    // Coalesce: whatever lands within batch_window, up to max_batch — the
-    // dynamic micro-batching that turns concurrent requests into one
-    // warm-scratch engine batch.
-    const auto window_end = Clock::now() + config_.batch_window;
-    while (batch.size() < config_.max_batch) {
-      const std::chrono::nanoseconds remaining = window_end - Clock::now();
-      PendingMap next;
-      const util::QueueOpResult more = work_queue_->pop_wait_for(
-          next, std::max(remaining, std::chrono::nanoseconds(0)));
-      if (more != util::QueueOpResult::kSuccess) break;
-      batch.push_back(std::move(next));
-      if (Clock::now() >= window_end) break;
-    }
-    work_depth_->set(static_cast<std::int64_t>(work_queue_->size()));
-
-    if (config_.batch_hook) config_.batch_hook();
-
-    // serve.batch: one decision per micro-batch, after coalescing and
-    // before the map kernel. Delay stalls the batch, drop fails every
-    // member with a structured 500 (clients retry), abort additionally
-    // kills the batcher — the supervisor respawns it. Promises are always
-    // fulfilled before the throw: a dead batcher never strands a waiter.
-    if (injector_.active()) {
-      const FaultDecision fault = injector_.next("serve.batch");
-      if (fault.action == FaultAction::kDelay) {
-        chaos_delay_->add();
-        std::this_thread::sleep_for(fault.delay);
-      } else if (fault.action == FaultAction::kDrop) {
-        chaos_batch_drop_->add();
-        fail_batch(batch, "batch dropped by fault injection");
-        continue;
-      } else if (fault.action == FaultAction::kAbort) {
-        chaos_abort_->add();
-        fail_batch(batch, "batcher aborted by fault injection");
-        throw util::FaultAbort(injector_.rank(), "serve.batch");
-      }
-    }
-
-    batches_total_->add();
-    batch_size_->record(batch.size());
-    const std::uint64_t batch_id =
-        next_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-
-    // Queue-wait ends when the batch is formed: everything after this point
-    // is batch time, not queueing.
-    const auto formed = Clock::now();
-    std::vector<std::uint64_t> queue_waits;
-    queue_waits.reserve(batch.size());
-    for (const PendingMap& pending : batch) {
-      queue_waits.push_back(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              formed - pending.enqueued)
-              .count()));
-    }
-
-    requests.clear();
-    deadlines.clear();
-    requests.reserve(batch.size());
-    deadlines.reserve(batch.size());
-    for (const PendingMap& pending : batch) {
-      requests.push_back(pending.request);
-      deadlines.push_back(pending.deadline);
-    }
-
-    // One service snapshot per batch: a reload that lands mid-batch takes
-    // effect from the next batch on.
-    const std::shared_ptr<const core::MappingService> service =
-        current_service();
-    std::optional<obs::Span> batch_span;
-    if (config_.tracer != nullptr) {
-      batch_span.emplace(config_.tracer->span(
-          "serve.map_batch#" + std::to_string(batch_id)));
-    }
-    const std::uint64_t formed_trace_ns =
-        config_.tracer != nullptr ? config_.tracer->now_ns() : 0;
-    const auto map_start = Clock::now();
-    std::vector<MapServiceResponse> responses;
-    try {
-      responses = service->map_batch(requests, deadlines);
-    } catch (const std::exception& error) {
-      // A batch-level throw (programming error) must not strand waiters.
-      batch_span.reset();
-      fail_batch(batch, error.what());
-      continue;
-    }
-    const std::uint64_t map_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             map_start)
-            .count());
-    const std::uint64_t map_end_trace_ns =
-        config_.tracer != nullptr ? config_.tracer->now_ns() : 0;
-    batch_span.reset();
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      // Per-request spans on the shared synthetic track: queue wait (from
-      // the worker's enqueue stamp to batch formation), the batch phase,
-      // and the map kernel nested inside it — one causally-connected tree
-      // per trace id, reconstructable from the Chrome export.
-      if (config_.tracer != nullptr && batch[i].enqueue_trace_ns > 0) {
-        const std::string& id = batch[i].trace_id;
-        config_.tracer->record(
-            "serve.queue.wait[" + id + "]", kRequestTrack,
-            batch[i].enqueue_trace_ns,
-            formed_trace_ns - std::min(formed_trace_ns,
-                                       batch[i].enqueue_trace_ns));
-        config_.tracer->record("serve.batch[" + id + "]", kRequestTrack,
-                               formed_trace_ns,
-                               map_end_trace_ns - formed_trace_ns,
-                               /*depth=*/1);
-        config_.tracer->record("serve.map[" + id + "]", kRequestTrack,
-                               map_end_trace_ns - map_ns, map_ns,
-                               /*depth=*/2);
-      }
-      BatchedResult result;
-      result.response = std::move(responses[i]);
-      result.queue_wait_ns = queue_waits[i];
-      result.map_ns = map_ns;
-      result.batch_id = batch_id;
-      batch[i].promise.set_value(std::move(result));
-    }
-  }
-}
-
 void MappingServer::supervisor_loop() {
   std::unique_lock lock(lifecycle_mutex_);
   while (true) {
@@ -1309,23 +1141,16 @@ void MappingServer::supervisor_loop() {
     const std::size_t slot = dead_.back();
     dead_.pop_back();
     ++respawn_in_flight_;
-    std::thread corpse = slot == kBatcherSlot ? std::move(batcher_)
-                                              : std::move(workers_[slot]);
+    std::thread corpse = std::move(workers_[slot]);
     lock.unlock();
     if (corpse.joinable()) corpse.join();
     lock.lock();
 
     if (respawn_enabled_) {
-      if (slot == kBatcherSlot) {
-        batcher_ = std::thread([this] { batcher_main(); });
-        batcher_restarts_.fetch_add(1, std::memory_order_relaxed);
-        restarts_batcher_->add();
-      } else {
-        workers_[slot] = std::thread([this, slot] { worker_main(slot); });
-        ++workers_active_;
-        worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-        restarts_worker_->add();
-      }
+      workers_[slot] = std::thread([this, slot] { worker_main(slot); });
+      ++workers_active_;
+      worker_restarts_.fetch_add(1, std::memory_order_relaxed);
+      restarts_worker_->add();
     }
     --respawn_in_flight_;
     drained_cv_.notify_all();

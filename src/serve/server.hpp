@@ -3,30 +3,31 @@
 // and serves mapping requests over a local HTTP/1.1 socket.
 //
 // Pipeline, in the same shape as the streaming engine (reader -> bounded
-// queue -> workers -> in-order emit), but request-oriented:
+// queue -> workers), but request-oriented:
 //
 //   acceptor thread ──try-push──► admission queue ──► worker threads
-//        │ (full? shed: 503 + Retry-After)               │ parse + route
-//        ▼                                               ▼
-//   connections never stall the listener         /map: bounded work queue
-//                                                        │
-//                                                micro-batcher thread
-//                                                (coalesce ≤ max_batch or
-//                                                 batch_window, then one
-//                                                 MappingService::map_batch
-//                                                 with a warm scratch)
+//        │ (full? shed: 503 + Retry-After)  (fd + the       │ parse + route;
+//        ▼                                   accept() stamp) ▼ /map: cache probe,
+//   connections never stall the listener       then MappingService::map with
+//                                              the worker's own warm MapScratch
 //
-// Admission control: the accept queue is a util::BoundedQueue; a full queue
-// sheds the connection immediately with `503 Service Unavailable` and a
-// `Retry-After` header — overload degrades to fast rejections, never to an
-// unbounded backlog or a stalled accept loop. The /map work queue is
-// likewise bounded; a full work queue sheds with 503 at the worker.
+// Each worker maps the /map request it read, on its own thread, as the
+// paper's S4 maps every query independently. A worker's MapScratch is
+// sized by the subject count, so it belongs to one serving epoch and is
+// rebuilt when a reload changes the epoch.
+//
+// Admission control: the accept queue is a util::BoundedQueue and the only
+// queue in the pipeline; a full queue sheds the connection immediately with
+// `503 Service Unavailable` and a `Retry-After` header — overload degrades
+// to fast rejections, never to an unbounded backlog or a stalled accept
+// loop.
 //
 // Deadlines: every /map request carries an absolute expiry (its
-// `deadline_ms` or the server default), measured from admission. Expiry is
-// checked before the (uninterruptible) map kernel runs, riding the same
-// timed-queue-op machinery as the engine's stage_timeout, and surfaces as a
-// structured `504` JSON body — the HTTP projection of kDeadlineExceeded.
+// `deadline_ms` or the server default), measured from admission — the
+// accept() stamp that travels with the connection through the queue, so
+// queueing counts against the budget. Expiry is checked right before the
+// (uninterruptible) map kernel runs and surfaces as a structured `504` JSON
+// body — the HTTP projection of kDeadlineExceeded.
 //
 // Caching: responses for repeated (sequence, top_x, min_votes) keys come
 // from an LruCache keyed by the full composite key (digest picks the
@@ -34,17 +35,16 @@
 //
 // Fault injection (docs/robustness.md): when ServerConfig::fault_plan is
 // set, the pipeline queries a util::FaultInjector at five named sites —
-// serve.accept, serve.read, serve.write, serve.batch, serve.cache — mapping
+// serve.accept, serve.read, serve.write, serve.map, serve.cache — mapping
 // the plan's delay/drop/abort taxonomy onto network failure modes:
 // injected latency, connection resets, truncated responses, dropped
-// batches, and worker/batcher thread aborts. Every decision is keyed by
-// (site, invocation) so the same seed replays the same schedule.
+// requests, and worker aborts. Every decision is keyed by (site,
+// invocation) so the same seed replays the same schedule.
 //
-// Supervision: worker and batcher threads run under a supervisor. A thread
-// that dies (injected abort or a genuine bug) has its in-flight requests
-// failed with structured 500s — never hung futures — is joined, and is
-// respawned while the server keeps serving; /healthz reports the restart
-// counts.
+// Supervision: worker threads run under a supervisor. A worker that dies
+// (injected abort or a genuine bug) answers its in-flight request with a
+// structured 500 — never a hung client — is joined, and is respawned while
+// the server keeps serving; /healthz reports the restart count.
 //
 // Hot swap: reload_index() (HTTP: POST /admin/reload; CLI: SIGHUP) loads a
 // new JEMIDX1 artifact in the background, validates it against the running
@@ -77,10 +77,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -111,17 +110,11 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral (read the bound port via port())
 
-  std::size_t workers = 4;           // connection-handling threads
+  std::size_t workers = 4;           // threads that read, map and answer
   std::size_t queue_capacity = 64;   // admission (accepted-connection) queue
-  std::size_t work_capacity = 256;   // /map work queue feeding the batcher
 
-  /// Micro-batching: the batcher takes the first in-flight request, then
-  /// coalesces up to `max_batch` total, waiting at most `batch_window` for
-  /// stragglers, and maps them in one warm-scratch MappingService batch.
-  std::size_t max_batch = 16;
-  std::chrono::microseconds batch_window{200};
-
-  /// Applied to /map requests that carry no deadline_ms. zero = none.
+  /// Applied to /map requests that carry no deadline_ms, measured from
+  /// admission. zero = none.
   std::chrono::milliseconds default_deadline{0};
 
   /// Socket receive/send timeout — a stalled client cannot pin a worker.
@@ -135,7 +128,7 @@ struct ServerConfig {
   obs::Registry* metrics = nullptr;
 
   /// Span tracer for per-request span trees (client/request/queue-wait/
-  /// batch/map/serialize, all tagged with the request's trace id). Null =
+  /// map/serialize, all tagged with the request's trace id). Null =
   /// no tracing; the request path then skips every span allocation.
   obs::Tracer* tracer = nullptr;
 
@@ -161,10 +154,6 @@ struct ServerConfig {
   /// Default artifact path for /admin/reload without ?path= and for the
   /// CLI's SIGHUP handler. Empty = reload requires an explicit path.
   std::string reload_index_path;
-
-  /// Test-only gate invoked by the batcher before mapping each micro-batch
-  /// (lets tests hold the pipeline to force queue-full and deadline paths).
-  std::function<void()> batch_hook;
 };
 
 class MappingServer {
@@ -185,13 +174,13 @@ class MappingServer {
   MappingServer(const MappingServer&) = delete;
   MappingServer& operator=(const MappingServer&) = delete;
 
-  /// Binds, listens and starts the acceptor/worker/batcher/supervisor
+  /// Binds, listens and starts the acceptor/worker/supervisor
   /// threads. Throws ServeError on bind/listen failure. Idempotent once
   /// running.
   void start();
 
-  /// Graceful drain: stop accepting, serve every admitted connection and
-  /// queued request, join all threads. Idempotent; also run by ~MappingServer.
+  /// Graceful drain: stop accepting, serve every admitted connection,
+  /// join all threads. Idempotent; also run by ~MappingServer.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -205,8 +194,9 @@ class MappingServer {
   [[nodiscard]] obs::Registry& registry() noexcept { return *registry_; }
 
   /// The routing core, socket-free: exactly what a worker runs after
-  /// parsing a request. /map routes through the live micro-batcher, so the
-  /// server must be start()ed. Exposed for in-process callers and tests.
+  /// parsing a request, but on the caller's thread with a one-shot map
+  /// scratch, so it needs no start(). Exposed for in-process callers and
+  /// tests.
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
   /// Result of one hot-swap attempt.
@@ -230,12 +220,9 @@ class MappingServer {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Supervisor tallies (threads respawned after an abort).
+  /// Supervisor tally (workers respawned after an abort).
   [[nodiscard]] std::uint64_t worker_restarts() const noexcept {
     return worker_restarts_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t batcher_restarts() const noexcept {
-    return batcher_restarts_.load(std::memory_order_relaxed);
   }
 
   /// The flight-recorder ring (never null when flight_recorder_size > 0;
@@ -249,47 +236,60 @@ class MappingServer {
   [[nodiscard]] std::string flight_recorder_text(std::size_t limit = 64) const;
 
  private:
-  /// What the batcher hands back per request, alongside the response:
-  /// the timings and batch id the flight record and spans need.
-  struct BatchedResult {
-    core::MapServiceResponse response;
-    std::uint64_t queue_wait_ns = 0;
-    std::uint64_t map_ns = 0;
-    std::uint64_t batch_id = 0;
+  /// An accepted connection, stamped at accept(). The stamp travels with
+  /// the fd through the admission queue: the request deadline,
+  /// queue_wait_ns and serve.queue.wait[id] all measure from it.
+  struct Admission {
+    int fd = -1;
+    Clock::time_point at{};
+    std::uint64_t trace_ns = 0;       ///< Tracer clock at accept (0 = off).
+    std::uint64_t queue_wait_ns = 0;  ///< accept() -> worker pickup.
   };
 
-  struct PendingMap {
-    core::MapServiceRequest request;
-    Clock::time_point deadline = Clock::time_point::max();
-    Clock::time_point enqueued{};
-    std::string trace_id;           ///< For batcher-side span naming.
-    std::uint64_t enqueue_trace_ns = 0;  ///< Tracer clock at enqueue (0 = off).
-    std::promise<BatchedResult> promise;
+  /// The serving epoch: its service and number, read together.
+  struct Serving {
+    std::shared_ptr<const core::MappingService> service;
+    std::uint64_t epoch = 0;
   };
 
-  /// Per-request observability state threaded through handle().
+  /// A worker's map scratch. It is sized by the subject count, so it must
+  /// never cross services: it is rebuilt whenever the serving epoch changes.
+  struct WorkerScratch {
+    std::uint64_t epoch = 0;
+    std::optional<core::MapScratch> scratch;
+
+    core::MapScratch& for_epoch(const Serving& serving) {
+      if (!scratch || epoch != serving.epoch) {
+        scratch.emplace(serving.service->make_scratch());
+        epoch = serving.epoch;
+      }
+      return *scratch;
+    }
+  };
+
+  /// Per-request state threaded through route().
   struct RequestContext {
     obs::TraceContext trace;  ///< Server ids: trace_id + fresh request span id.
     Clock::time_point start{};
+    Clock::time_point admitted{};      ///< Deadline origin.
+    WorkerScratch* scratch = nullptr;  ///< Null = map with a one-shot scratch.
     FlightRecord record;
   };
-
-  /// Supervisor slot id of the batcher (workers use their vector index).
-  static constexpr std::size_t kBatcherSlot = ~static_cast<std::size_t>(0);
 
   void acceptor_loop();
   void worker_main(std::size_t slot);
   void worker_loop();
-  void batcher_main();
-  void batcher_loop();
   void supervisor_loop();
   void note_death(std::size_t slot);
-  void serve_connection(int fd);
+  void serve_connection(const Admission& conn, WorkerScratch& scratch);
 
-  /// Current serving epoch (never null once constructed).
-  [[nodiscard]] std::shared_ptr<const core::MappingService> current_service()
-      const;
+  /// Current serving epoch (service never null once constructed).
+  [[nodiscard]] Serving serving() const;
 
+  /// handle() for an admitted request; `scratch` is the calling worker's.
+  [[nodiscard]] HttpResponse route(const HttpRequest& request,
+                                   const Admission& admission,
+                                   WorkerScratch* scratch);
   [[nodiscard]] HttpResponse handle_map(const HttpRequest& request,
                                         RequestContext& ctx);
   [[nodiscard]] HttpResponse handle_healthz();
@@ -302,17 +302,14 @@ class MappingServer {
   [[nodiscard]] std::string slo_json();
   [[nodiscard]] std::string slo_openmetrics();
 
-  /// Fails every promise of `batch` with a structured internal failure.
-  static void fail_batch(std::vector<PendingMap>& batch,
-                         std::string_view message);
-
   ServerConfig config_;
 
-  mutable std::mutex service_mutex_;  // guards the service_ pointer only
+  // Guards service_ and writes to epoch_, so serving() reads a matching pair.
+  mutable std::mutex service_mutex_;
   std::shared_ptr<const core::MappingService> service_;
+  std::atomic<std::uint64_t> epoch_{0};
 
   std::mutex reload_mutex_;  // serializes reload_index()
-  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> reloads_{0};
 
   std::unique_ptr<obs::Registry> owned_registry_;
@@ -328,7 +325,6 @@ class MappingServer {
   obs::Counter* cache_hits_ = nullptr;
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* cache_evictions_ = nullptr;
-  obs::Counter* batches_total_ = nullptr;
   obs::Counter* rejected_head_ = nullptr;
   obs::Counter* rejected_body_ = nullptr;
   obs::Counter* rejected_malformed_ = nullptr;
@@ -337,19 +333,16 @@ class MappingServer {
   obs::Counter* chaos_partial_ = nullptr;
   obs::Counter* chaos_abort_ = nullptr;
   obs::Counter* chaos_cache_bypass_ = nullptr;
-  obs::Counter* chaos_batch_drop_ = nullptr;
+  obs::Counter* chaos_map_drop_ = nullptr;
   obs::Counter* reload_success_ = nullptr;
   obs::Counter* reload_rejected_ = nullptr;
   obs::Counter* restarts_worker_ = nullptr;
-  obs::Counter* restarts_batcher_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Gauge* work_depth_ = nullptr;
   obs::Gauge* cache_size_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Histogram* map_latency_ns_ = nullptr;
   obs::Histogram* healthz_latency_ns_ = nullptr;
   obs::Histogram* metrics_latency_ns_ = nullptr;
-  obs::Histogram* batch_size_ = nullptr;
 
   util::FaultInjector injector_;
 
@@ -357,15 +350,13 @@ class MappingServer {
   std::unique_ptr<FlightRecorder> flight_;
   obs::WindowedHistogram win_latency_;   // /map total latency per request
   obs::WindowedCounter win_requests_;    // /map requests
-  obs::WindowedCounter win_errors_;      // /map 5xx (excluding sheds)
-  obs::WindowedCounter win_shed_;        // 503 sheds (worker + acceptor)
-  std::atomic<std::uint64_t> next_batch_id_{0};
+  obs::WindowedCounter win_errors_;      // /map 5xx
+  obs::WindowedCounter win_shed_;        // 503 admission sheds
   util::LogRateLimiter worker_died_limit_;
-  util::LogRateLimiter batcher_died_limit_;
 
-  /// Synthetic tracer track carrying per-request queue-wait/batch/map spans
-  /// recorded with explicit times (the batcher thread owns the wall time
-  /// but the spans belong to requests, not to it).
+  /// Synthetic tracer track carrying per-request queue-wait spans, recorded
+  /// with explicit times: a wait starts on the acceptor and ends on a
+  /// worker, so it belongs to neither thread's track.
   static constexpr std::uint32_t kRequestTrack = 0xFFFF0000u;
 
   int listen_fd_ = -1;
@@ -373,15 +364,13 @@ class MappingServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};
 
-  std::unique_ptr<util::BoundedQueue<int>> conn_queue_;
-  std::unique_ptr<util::BoundedQueue<PendingMap>> work_queue_;
+  std::unique_ptr<util::BoundedQueue<Admission>> conn_queue_;
 
   std::mutex cache_mutex_;
   std::unique_ptr<LruCache<std::string, core::MapServiceResponse>> cache_;
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::thread batcher_;
 
   // Supervisor state: dead slots awaiting join/respawn, plus the drain
   // bookkeeping stop() waits on. All guarded by lifecycle_mutex_.
@@ -395,7 +384,6 @@ class MappingServer {
   std::size_t respawn_in_flight_ = 0;
   std::thread supervisor_;
   std::atomic<std::uint64_t> worker_restarts_{0};
-  std::atomic<std::uint64_t> batcher_restarts_{0};
 
   Clock::time_point started_at_{};
 };

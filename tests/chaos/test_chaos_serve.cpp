@@ -1,12 +1,12 @@
 // Chaos suite for the serve path (docs/serve.md "Failure modes & recovery",
 // docs/robustness.md): a live loopback MappingServer under a seeded
 // util::FaultPlan — connection resets, injected latency, truncated writes,
-// dropped batches, worker/batcher aborts — driven by the resilient
+// dropped requests, worker aborts — driven by the resilient
 // serve::Client. The acceptance contract:
 //  * every request completes with bodies bit-identical to a fault-free run
 //    (faults shift timing and retries, never results);
 //  * the same seed replays the same injection schedule (counter-identical);
-//  * the supervisor respawns aborted worker/batcher threads mid-run;
+//  * the supervisor respawns aborted worker threads mid-run;
 //  * /admin/reload hot-swaps the index under load with zero failed
 //    requests, and a corrupt artifact leaves the old epoch serving.
 #include <gtest/gtest.h>
@@ -86,8 +86,9 @@ class ServeChaosTest : public ::testing::Test {
   }
 
   /// The seeded chaos plan both determinism runs share: random resets,
-  /// latency and truncated/dropped work, plus one scripted worker abort and
-  /// one scripted batcher abort so the supervisor provably respawns both.
+  /// latency and truncated/dropped work, plus two scripted worker aborts —
+  /// one reading a request, one about to map — so the supervisor provably
+  /// respawns a worker from either point.
   [[nodiscard]] static util::FaultPlan chaos_plan(std::uint64_t seed) {
     util::RandomFaultRates rates;
     rates.delay = 0.05;
@@ -96,7 +97,7 @@ class ServeChaosTest : public ::testing::Test {
     rates.max_delay = milliseconds(2);
     util::FaultPlan plan = util::FaultPlan::random(seed, rates);
     plan.abort_at(util::FaultPlan::kAnyRank, "serve.read", 7);
-    plan.abort_at(util::FaultPlan::kAnyRank, "serve.batch", 3);
+    plan.abort_at(util::FaultPlan::kAnyRank, "serve.map", 3);
     return plan;
   }
 
@@ -105,7 +106,6 @@ class ServeChaosTest : public ::testing::Test {
     std::vector<std::string> bodies;
     std::map<std::string, std::uint64_t> injected;  // chaos counter values
     std::uint64_t worker_restarts = 0;
-    std::uint64_t batcher_restarts = 0;
     std::uint64_t client_retries = 0;
   };
 
@@ -138,21 +138,17 @@ class ServeChaosTest : public ::testing::Test {
     }
     run.client_retries = client.retries();
 
-    // The scripted aborts killed one worker and the batcher; wait for the
-    // supervisor to finish the respawns before sampling the tallies.
-    for (int i = 0; i < 5000; ++i) {
-      if (server.worker_restarts() >= 1 && server.batcher_restarts() >= 1) {
-        break;
-      }
+    // The scripted aborts killed two workers; wait for the supervisor to
+    // finish the respawns before sampling the tallies.
+    for (int i = 0; i < 5000 && server.worker_restarts() < 2; ++i) {
       std::this_thread::sleep_for(milliseconds(1));
     }
     run.worker_restarts = server.worker_restarts();
-    run.batcher_restarts = server.batcher_restarts();
 
     const auto snapshot = server.registry().snapshot();
     for (const char* kind :
          {"delay", "reset", "partial", "abort", "cache_bypass",
-          "batch_drop"}) {
+          "map_drop"}) {
       const std::string name = std::string("serve.chaos.injected.") + kind;
       const auto* metric = snapshot.find(name);
       run.injected[name] = metric == nullptr ? 0 : metric->value;
@@ -197,13 +193,12 @@ TEST_F(ServeChaosTest, SeededFaultsCompleteBitIdenticalToFaultFreeRun) {
   }
 
   // The plan demonstrably fired: resets and both scripted aborts landed,
-  // the client actually retried, and the supervisor respawned both the
-  // aborted worker and the aborted batcher.
+  // the client actually retried, and the supervisor respawned both
+  // aborted workers.
   EXPECT_GE(run.injected.at("serve.chaos.injected.reset"), 1u);
   EXPECT_EQ(run.injected.at("serve.chaos.injected.abort"), 2u);
   EXPECT_GE(run.client_retries, 1u);
-  EXPECT_GE(run.worker_restarts, 1u);
-  EXPECT_GE(run.batcher_restarts, 1u);
+  EXPECT_GE(run.worker_restarts, 2u);
 }
 
 TEST_F(ServeChaosTest, SameSeedReplaysTheSameInjectionSchedule) {

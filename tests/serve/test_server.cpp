@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +11,7 @@
 #include "core/dna.hpp"
 #include "core/service.hpp"
 #include "serve/client.hpp"
+#include "util/fault_plan.hpp"
 #include "util/prng.hpp"
 
 namespace jem::serve {
@@ -27,6 +26,29 @@ std::string random_dna(util::Xoshiro256ss& rng, std::size_t length) {
     c = core::code_base(static_cast<std::uint8_t>(rng.bounded(4)));
   }
   return seq;
+}
+
+/// The /map body a cache miss of `response` must carry, byte for byte.
+std::string expected_miss_body(const MapServiceResponse& response) {
+  std::string body = "{\"mapped\":";
+  body += response.mapped() ? "true" : "false";
+  body += ",\"trials\":" + std::to_string(response.trials) +
+          ",\"cache\":\"miss\",\"hits\":[";
+  for (std::size_t i = 0; i < response.hits.size(); ++i) {
+    if (i > 0) body += ',';
+    body += "{\"subject\":\"" + response.hits[i].subject_name +
+            "\",\"votes\":" + std::to_string(response.hits[i].votes) + "}";
+  }
+  return body + "]}";
+}
+
+/// Polls `done` for up to ~2 s.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  for (int i = 0; i < 2000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 /// A small service + live loopback server per fixture. Every test talks to
@@ -67,6 +89,12 @@ class MappingServerTest : public ::testing::Test {
   [[nodiscard]] HttpResponse post_map(const std::string& sequence,
                                       const std::string& params = "") {
     return http_post("127.0.0.1", server_->port(), "/map" + params, sequence);
+  }
+
+  [[nodiscard]] std::uint64_t metric(const std::string& name) {
+    const auto snapshot = server_->registry().snapshot();
+    const auto* value = snapshot.find(name);
+    return value != nullptr ? value->value : 0;
   }
 
   std::string genome_;
@@ -118,39 +146,52 @@ TEST_F(MappingServerTest, MapResponseMatchesSingleShotService) {
   }
 }
 
-TEST_F(MappingServerTest, MicroBatchedResponsesAreBitIdentical) {
+TEST_F(MappingServerTest, ConcurrentResponsesMatchSingleShotService) {
   ServerConfig config;
-  config.max_batch = 8;
-  config.batch_window = std::chrono::microseconds(2000);
+  config.cache_capacity = 0;  // every answer comes from a worker's kernel
   start_server(config);
 
-  // Fire every query concurrently so the batcher actually coalesces, then
-  // check each response against the single-shot service answer.
+  // Fire every query concurrently, so several workers map at once with
+  // their own warm scratches, then check each body byte for byte against
+  // the single-shot service answer.
   std::vector<HttpResponse> responses(queries_.size());
   std::vector<std::thread> clients;
   clients.reserve(queries_.size());
   for (std::size_t i = 0; i < queries_.size(); ++i) {
     clients.emplace_back(
-        [&, i] { responses[i] = post_map(queries_[i]); });
+        [&, i] { responses[i] = post_map(queries_[i], "?top_x=3"); });
   }
   for (std::thread& client : clients) client.join();
 
   for (std::size_t i = 0; i < queries_.size(); ++i) {
     ASSERT_EQ(responses[i].status, 200) << responses[i].body;
     const MapServiceResponse expected = service_->map(
-        MapServiceRequest::make().sequence(queries_[i]).build());
-    if (expected.mapped()) {
-      const std::string fragment =
-          "{\"subject\":\"" + expected.hits[0].subject_name +
-          "\",\"votes\":" + std::to_string(expected.hits[0].votes) + "}";
-      EXPECT_NE(responses[i].body.find(fragment), std::string::npos)
-          << responses[i].body;
+        MapServiceRequest::make().sequence(queries_[i]).top_x(3).build());
+    EXPECT_EQ(responses[i].body, expected_miss_body(expected));
+  }
+}
+
+TEST_F(MappingServerTest, HandleWithoutStartMatchesAStartedServer) {
+  // handle() on a server that was never started maps on the caller's
+  // thread with a one-shot scratch.
+  MappingServer idle(*service_, ServerConfig{});
+  start_server();
+  for (const std::string top_x : {"1", "3"}) {
+    for (const std::string& query : queries_) {
+      HttpRequest request;
+      request.method = "POST";
+      request.path = "/map";
+      request.target = "/map?top_x=" + top_x;
+      request.query = {{"top_x", top_x}};
+      request.body = query;
+      const HttpResponse direct = idle.handle(request);
+      const HttpResponse served = post_map(query, "?top_x=" + top_x);
+      ASSERT_EQ(direct.status, 200) << direct.body;
+      EXPECT_EQ(direct.status, served.status);
+      EXPECT_EQ(direct.body, served.body);
     }
   }
-  const auto snapshot = server_->registry().snapshot();
-  const auto* batches = snapshot.find("serve.batches");
-  ASSERT_NE(batches, nullptr);
-  EXPECT_GE(batches->value, 1u);
+  EXPECT_FALSE(idle.running());
 }
 
 TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
@@ -175,72 +216,53 @@ TEST_F(MappingServerTest, RoutingErrorsAreStructured) {
 }
 
 TEST_F(MappingServerTest, ExpiredDeadlineIsGatewayTimeout) {
-  // Gate the batcher so the deadline lapses while the request is queued.
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
+  // One worker, held 300 ms reading the first connection: the other
+  // request waits in the admission queue past its 1 ms deadline, which runs
+  // from accept(), so it expires before its kernel would run.
+  util::FaultPlan plan;
+  plan.delay_at(util::FaultPlan::kAnyRank, "serve.read", 0,
+                std::chrono::milliseconds(300));
   ServerConfig config;
-  config.batch_hook = [&] {
-    std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
+  config.workers = 1;
+  config.fault_plan = &plan;
   start_server(config);
 
-  std::thread opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    {
-      std::lock_guard lock(gate_mutex);
-      gate_open = true;
-    }
-    gate_cv.notify_all();
-  });
-  const HttpResponse response = post_map(queries_[0], "?deadline_ms=1");
-  opener.join();
+  std::thread held([&] { (void)post_map(queries_[0]); });
+  ASSERT_TRUE(eventually(
+      [&] { return metric("serve.chaos.injected.delay") >= 1; }));
+  const HttpResponse response = post_map(queries_[1], "?deadline_ms=1");
+  held.join();
   EXPECT_EQ(response.status, 504);
   EXPECT_NE(response.body.find("\"error\":\"deadline-exceeded\""),
             std::string::npos);
-
-  const auto snapshot = server_->registry().snapshot();
-  const auto* expired = snapshot.find("serve.deadline.expired");
-  ASSERT_NE(expired, nullptr);
-  EXPECT_GE(expired->value, 1u);
+  EXPECT_GE(metric("serve.deadline.expired"), 1u);
 }
 
-TEST_F(MappingServerTest, FullWorkQueueShedsWith503RetryAfter) {
-  // max_batch 1 + gated batcher: request A blocks inside the hook, request
-  // B fills the capacity-1 work queue, request C must shed.
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<int> in_hook{0};
+TEST_F(MappingServerTest, FullAdmissionQueueShedsWith503RetryAfter) {
+  // One worker, held 2 s reading connection A; B fills the capacity-1
+  // admission queue, so the acceptor must shed C on the spot.
+  util::FaultPlan plan;
+  plan.delay_at(util::FaultPlan::kAnyRank, "serve.read", 0,
+                std::chrono::milliseconds(2000));
   ServerConfig config;
-  config.max_batch = 1;
-  config.work_capacity = 1;
+  config.workers = 1;
+  config.queue_capacity = 1;
   config.retry_after_s = 7;
-  config.batch_hook = [&] {
-    in_hook.fetch_add(1);
-    std::unique_lock lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
+  config.fault_plan = &plan;
   start_server(config);
 
   std::thread first([&] { (void)post_map(queries_[0]); });
-  // Wait until A is inside the hook, so B deterministically lands in the
-  // work queue instead of being popped by the batcher.
-  while (in_hook.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // A is picked up once the worker's injected read delay has started.
+  ASSERT_TRUE(eventually(
+      [&] { return metric("serve.chaos.injected.delay") >= 1; }));
   std::thread second([&] { (void)post_map(queries_[1]); });
-  // B's enqueue is visible as the work-depth gauge going to 1.
+  // B's admission is visible as the queue-depth gauge going to 1.
   const auto depth_is_one = [&] {
     const auto snapshot = server_->registry().snapshot();
-    const auto* depth = snapshot.find("serve.work.depth");
+    const auto* depth = snapshot.find("serve.queue.depth");
     return depth != nullptr && depth->level >= 1;
   };
-  for (int i = 0; i < 2000 && !depth_is_one(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(depth_is_one());
+  ASSERT_TRUE(eventually(depth_is_one));
 
   const HttpResponse shed = post_map(queries_[2]);
   EXPECT_EQ(shed.status, 503);
@@ -254,18 +276,9 @@ TEST_F(MappingServerTest, FullWorkQueueShedsWith503RetryAfter) {
   }
   EXPECT_TRUE(has_retry_after);
 
-  {
-    std::lock_guard lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
   first.join();
   second.join();
-
-  const auto snapshot = server_->registry().snapshot();
-  const auto* sheds = snapshot.find("serve.http.shed");
-  ASSERT_NE(sheds, nullptr);
-  EXPECT_GE(sheds->value, 1u);
+  EXPECT_GE(metric("serve.http.shed"), 1u);
 }
 
 TEST_F(MappingServerTest, CacheHitsEvictionsAndCollisionKeying) {
@@ -311,12 +324,11 @@ TEST_F(MappingServerTest, CacheHitsEvictionsAndCollisionKeying) {
   EXPECT_GE(evictions->value, 1u);
 }
 
-/// Many clients, mixed endpoints, while the server micro-batches — the test
-/// the TSan configuration leans on for the serve layer's thread safety.
+/// Many clients, mixed endpoints, while every worker maps — the test the
+/// TSan configuration leans on for the serve layer's thread safety.
 TEST_F(MappingServerTest, ConcurrentClientsAllSucceed) {
   ServerConfig config;
   config.workers = 4;
-  config.max_batch = 4;
   start_server(config);
 
   constexpr int kThreads = 8;

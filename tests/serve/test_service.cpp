@@ -146,17 +146,17 @@ TEST_F(MappingServiceTest, MapMatchesMapSegmentBitIdentically) {
   }
 }
 
-TEST_F(MappingServiceTest, BatchIsBitIdenticalToSingleShot) {
-  std::vector<MapServiceRequest> requests;
-  for (const std::string& query : queries_) {
-    requests.push_back(MapServiceRequest::make().sequence(query).build());
-  }
-  const std::vector<MapServiceResponse> batched =
-      service_->map_batch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const MapServiceResponse single = service_->map(requests[i]);
-    EXPECT_EQ(batched[i], single) << "request " << i;
+TEST_F(MappingServiceTest, WarmScratchReuseMatchesSingleShot) {
+  // One scratch reused over every query (and both report shapes), as a
+  // serve worker reuses its own, answers exactly like a fresh scratch.
+  MapScratch warm = service_->make_scratch();
+  for (const std::size_t top_x : {1u, 3u}) {
+    for (const std::string& query : queries_) {
+      const MapServiceRequest request =
+          MapServiceRequest::make().sequence(query).top_x(top_x).build();
+      EXPECT_EQ(service_->map(request, warm), service_->map(request))
+          << "top_x " << top_x;
+    }
   }
 }
 
@@ -218,17 +218,6 @@ TEST_F(MappingServiceTest, ExpiredDeadlineIsAContainedFailure) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.failure->code, ServiceErrorCode::kDeadlineExceeded);
   EXPECT_TRUE(response.hits.empty());
-
-  // Per-entry deadlines in a batch: only the expired entry fails.
-  std::vector<MapServiceRequest> requests(2, request);
-  const std::vector<MappingService::Clock::time_point> deadlines = {
-      MappingService::Clock::now() - std::chrono::milliseconds(1),
-      MappingService::Clock::time_point::max()};
-  const auto responses = service_->map_batch(requests, deadlines);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses[0].ok());
-  EXPECT_EQ(responses[0].failure->code, ServiceErrorCode::kDeadlineExceeded);
-  EXPECT_TRUE(responses[1].ok());
 }
 
 TEST_F(MappingServiceTest, FromIndexLoadsAndFallsBackGracefully) {

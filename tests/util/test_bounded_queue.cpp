@@ -44,7 +44,7 @@ TEST(BoundedQueueTest, CapacityZeroClampsToOne) {
 
 TEST(BoundedQueueTest, SubMillisecondTimedWaitsAreHonoured) {
   // A 500 us timeout must wait ~500 us, not truncate to a 0 ms poll: the
-  // serve batcher's 200 us coalescing window depends on it.
+  // timed waits take nanoseconds, so sub-millisecond budgets are honoured.
   using Clock = std::chrono::steady_clock;
   BoundedQueue<int> queue(1);
   int out = 0;
